@@ -186,16 +186,6 @@ impl std::fmt::Debug for ClusterPlatform {
     }
 }
 
-fn zero_bill() -> InvocationBill {
-    InvocationBill {
-        compute_usd: 0.0,
-        request_usd: 0.0,
-        egress_usd: 0.0,
-        billed_duration: SimDuration::ZERO,
-        billed_memory_mb: 0,
-    }
-}
-
 impl ClusterPlatform {
     /// Boots the region. Every host runs the same provider profile with
     /// the same seed (see the crate docs); the cluster's own streams
@@ -253,6 +243,11 @@ impl ClusterPlatform {
 
     /// Installs the cluster-level retry policy driving
     /// [`ClusterPlatform::invoke_resilient`].
+    ///
+    /// Only attempts, backoff (base, cap, jitter), the retry budget and
+    /// the deadline take effect: the cluster never hedges and has no
+    /// circuit breaker, so `hedge_after_quantile` and `breaker` are
+    /// ignored here (`sebs cluster` rejects them).
     pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
         self.retry = policy;
     }
@@ -550,7 +545,7 @@ impl ClusterPlatform {
             } else {
                 SimDuration::ZERO
             };
-            record.bill = zero_bill();
+            record.bill = InvocationBill::default();
             record.t_recv_client = (dispatch + record.client_time).as_secs_f64();
             host.count_crash_failure();
             self.stats.crash_failures += 1;
@@ -586,7 +581,7 @@ impl ClusterPlatform {
             response_bytes: 0,
             container: None,
             concurrency: 1,
-            bill: zero_bill(),
+            bill: InvocationBill::default(),
             t_send_client: self.now.as_secs_f64(),
             t_start_server: 0.0,
             t_recv_client: self.now.as_secs_f64(),

@@ -93,7 +93,10 @@ USAGE:
                 [--host-fault-rates R1,...]   (host-crash intensities;
                                                default 0,0.15,0.4)
                 [--functions N] [--invocations N] [--horizon-secs S]
-                [--zipf EXP] [--retry SPEC] [--jobs N] [--seed N]
+                [--zipf EXP] [--retry SPEC]   (attempts, base, cap, jitter,
+                                               budget, deadline; hedge and
+                                               breaker are rejected)
+                [--jobs N] [--seed N]
                 [--csv FILE] [--json FILE] [--trace FILE] [--trace-format F]
                 Sweeps scheduler x keep-alive x host-fault intensity on a
                 multi-host region: cold-start rate vs wasted warm GB-s
@@ -814,6 +817,22 @@ fn cmd_availability(o: &Options) -> Result<(), String> {
 /// region and prints one line per cell plus the Pareto breakdown.
 /// Stdout and every export are byte-identical for any `--jobs`.
 fn cmd_cluster(o: &Options) -> Result<(), String> {
+    // The cluster's retry loop has no hedging and no circuit breaker;
+    // refuse those keys instead of silently dropping them.
+    let mut ignored = Vec::new();
+    if o.retry.hedge_after_quantile.is_some() {
+        ignored.push("hedge");
+    }
+    if o.retry.breaker.is_some() {
+        ignored.push("breaker");
+    }
+    if !ignored.is_empty() {
+        return Err(format!(
+            "sebs cluster does not support --retry key(s) {}; its retry loop honours \
+             attempts, base, cap, jitter, budget and deadline only",
+            ignored.join(", ")
+        ));
+    }
     let config = SuiteConfig::default()
         .with_seed(o.seed)
         .with_jobs(o.jobs)
@@ -1162,6 +1181,23 @@ mod tests {
         assert!(o.faults.is_empty());
         assert!(o.retry.is_none());
         assert_eq!(o.fault_rates, vec![0.0, 0.05, 0.25]);
+    }
+
+    #[test]
+    fn cluster_rejects_retry_keys_it_cannot_honour() {
+        let tiny = "--functions 2 --invocations 20 --horizon-secs 60 --schedulers least-loaded \
+                    --keepalives provider --host-fault-rates 0 --jobs 1";
+        for (spec, named) in [
+            ("attempts=3,hedge=0.9", "key(s) hedge;"),
+            ("breaker=5@30000", "key(s) breaker;"),
+            ("hedge=0.95,breaker=5@30000", "key(s) hedge, breaker;"),
+        ] {
+            let mut args = vec!["--retry", spec];
+            args.extend(tiny.split_whitespace());
+            let o = parse(&args).unwrap();
+            let err = cmd_cluster(&o).expect_err(spec);
+            assert!(err.contains(named), "{spec}: {err}");
+        }
     }
 
     #[test]

@@ -24,12 +24,9 @@ use sebs_trace::TraceSink;
 use sebs_workload_gen::{SyntheticFunction, SyntheticSpec, TraceModel};
 use sebs_workloads::Payload;
 
+use super::replay::{Event, ReplayStream};
 use crate::config::SuiteConfig;
 use crate::runner::ParallelRunner;
-
-/// Warm-pool occupancy (and with it wasted warm memory) is integrated on
-/// this many evenly spaced instants across the horizon.
-const OCCUPANCY_SAMPLES: u64 = 64;
 
 /// Knobs of the cluster sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -473,59 +470,47 @@ fn sample_cell(
         host_stats: Vec::new(),
     };
 
-    let sample_every =
-        SimDuration::from_nanos((sweep.horizon.as_nanos() / OCCUPANCY_SAMPLES).max(1_000_000_000));
-    let sample_secs = sample_every.as_secs_f64();
-    let mut next_sample = SimTime::ZERO.saturating_add(sample_every);
-    let end = SimTime::ZERO.saturating_add(sweep.horizon);
+    let replay = ReplayStream::new(arrivals, sweep.horizon);
+    let sample_secs = replay.period().as_secs_f64();
     let payload = Payload::empty();
-
-    let observe = |cluster: &mut ClusterPlatform,
-                   series: &mut ClusterSeries,
-                   upto: SimTime,
-                   next_sample: &mut SimTime| {
-        while *next_sample <= upto && *next_sample <= end {
-            let gap = next_sample.saturating_duration_since(cluster.now());
-            cluster.advance(gap);
-            cluster.sync_host_clocks();
-            let mut idle_mb: u64 = 0;
-            for host in 0..cluster.hosts().len() {
-                for (id, _, memory_mb) in &deployed {
-                    idle_mb += cluster.observe_pool(host, *id).idle as u64 * u64::from(*memory_mb);
+    for ev in replay {
+        cluster.advance(ev.at().saturating_duration_since(cluster.now()));
+        match ev {
+            Event::Sample(_) => {
+                cluster.sync_host_clocks();
+                let mut idle_mb: u64 = 0;
+                for host in 0..cluster.hosts().len() {
+                    for (id, _, memory_mb) in &deployed {
+                        idle_mb +=
+                            cluster.observe_pool(host, *id).idle as u64 * u64::from(*memory_mb);
+                    }
+                }
+                series.wasted_warm_gb_s += idle_mb as f64 / 1024.0 * sample_secs;
+            }
+            Event::Arrival(a) => {
+                let Some((id, workload, _)) = deployed.get(a.function as usize) else {
+                    continue;
+                };
+                let chain = cluster.invoke_resilient(*id, workload, &payload);
+                series.chains += 1;
+                series.attempts += chain.billed_attempts();
+                series.cost_usd += chain.total_cost_usd();
+                if let Some(first) = chain.attempts.first() {
+                    series.first_attempt_cost_usd += first.bill.total_usd();
+                    if first.outcome.is_success() {
+                        series.first_attempt_successes += 1;
+                    }
+                }
+                if chain.succeeded() {
+                    series.successes += 1;
+                    series
+                        .client_latency
+                        .push(chain.client_time.as_millis_f64());
                 }
             }
-            series.wasted_warm_gb_s += idle_mb as f64 / 1024.0 * sample_secs;
-            *next_sample = next_sample.saturating_add(sample_every);
-        }
-    };
-
-    for a in arrivals {
-        observe(&mut cluster, &mut series, a.at, &mut next_sample);
-        let gap = a.at.saturating_duration_since(cluster.now());
-        cluster.advance(gap);
-        let Some((id, workload, _)) = deployed.get(a.function as usize) else {
-            continue;
-        };
-        let chain = cluster.invoke_resilient(*id, workload, &payload);
-        series.chains += 1;
-        series.attempts += chain.billed_attempts();
-        series.cost_usd += chain.total_cost_usd();
-        if let Some(first) = chain.attempts.first() {
-            series.first_attempt_cost_usd += first.bill.total_usd();
-            if first.outcome.is_success() {
-                series.first_attempt_successes += 1;
-            }
-        }
-        if chain.succeeded() {
-            series.successes += 1;
-            series
-                .client_latency
-                .push(chain.client_time.as_millis_f64());
+            Event::End(_) => {}
         }
     }
-    observe(&mut cluster, &mut series, end, &mut next_sample);
-    let rest = end.saturating_duration_since(cluster.now());
-    cluster.advance(rest);
 
     let stats = cluster.stats();
     series.shed = stats.shed;

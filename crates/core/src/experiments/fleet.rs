@@ -23,18 +23,15 @@ use sebs_platform::{
     FaasPlatform, FunctionConfig, FunctionId, InvocationOutcome, ProviderKind, ProviderProfile,
     StartKind,
 };
-use sebs_sim::{Phase, PhaseProfiler, SimDuration, SimRng, SimTime};
+use sebs_sim::{fnv1a, Phase, PhaseProfiler, SimDuration, SimRng};
 use sebs_telemetry::MetricsSink;
 use sebs_trace::TraceSink;
 use sebs_workload_gen::{Arrival, SyntheticFunction, SyntheticSpec, TraceModel};
 use sebs_workloads::Payload;
 
+use super::replay::{Event, ReplayStream};
 use crate::config::SuiteConfig;
 use crate::runner::ParallelRunner;
-
-/// Warm-pool occupancy is sampled on this many evenly spaced instants
-/// across the horizon (per cell, summed over the cell's functions).
-const OCCUPANCY_SAMPLES: u64 = 64;
 
 /// Knobs of the fleet replay.
 #[derive(Debug, Clone, PartialEq)]
@@ -240,17 +237,6 @@ impl FleetResult {
     }
 }
 
-/// FNV-1a over a function name — the stable cell-partitioning hash
-/// (independent of process, platform and fleet size).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Replays `model` with the worker count from [`SuiteConfig::jobs`].
 ///
 /// The trace is expanded once (deterministically in
@@ -370,53 +356,39 @@ fn sample_cell(
         warm_pool_samples: Vec::new(),
     };
 
-    let sample_every =
-        SimDuration::from_nanos((fleet.horizon.as_nanos() / OCCUPANCY_SAMPLES).max(1_000_000_000));
-    let mut next_sample = SimTime::ZERO.saturating_add(sample_every);
-    let end = SimTime::ZERO.saturating_add(fleet.horizon);
     let payload = Payload::empty();
-
-    let observe = |platform: &mut FaasPlatform,
-                   series: &mut FleetCellSeries,
-                   upto: SimTime,
-                   next_sample: &mut SimTime| {
-        while *next_sample <= upto && *next_sample <= end {
-            let gap = next_sample.saturating_duration_since(platform.now());
-            platform.advance(gap);
-            let warm: usize = deployed
-                .values()
-                .map(|(id, _)| platform.observe_pool(*id).warm)
-                .sum();
-            series.warm_pool_samples.push(warm as u64);
-            *next_sample = next_sample.saturating_add(sample_every);
+    for ev in ReplayStream::new(arrivals, fleet.horizon) {
+        platform.advance(ev.at().saturating_duration_since(platform.now()));
+        match ev {
+            Event::Sample(_) => {
+                let warm: usize = deployed
+                    .values()
+                    .map(|(id, _)| platform.observe_pool(*id).warm)
+                    .sum();
+                series.warm_pool_samples.push(warm as u64);
+            }
+            Event::Arrival(a) => {
+                let Some((id, workload)) = deployed.get(&a.function) else {
+                    continue;
+                };
+                let record = platform.invoke(*id, workload, &payload);
+                series.invocations += 1;
+                match record.start {
+                    StartKind::Cold => series.cold_starts += 1,
+                    StartKind::Warm => series.warm_starts += 1,
+                }
+                if matches!(record.outcome, InvocationOutcome::Success) {
+                    series
+                        .client_latency
+                        .push(record.client_time.as_millis_f64());
+                } else {
+                    series.failures += 1;
+                }
+                series.cost_usd += record.bill.total_usd();
+            }
+            Event::End(_) => {}
         }
-    };
-
-    for a in arrivals {
-        observe(&mut platform, &mut series, a.at, &mut next_sample);
-        let gap = a.at.saturating_duration_since(platform.now());
-        platform.advance(gap);
-        let Some((id, workload)) = deployed.get(&a.function) else {
-            continue;
-        };
-        let record = platform.invoke(*id, workload, &payload);
-        series.invocations += 1;
-        match record.start {
-            StartKind::Cold => series.cold_starts += 1,
-            StartKind::Warm => series.warm_starts += 1,
-        }
-        if matches!(record.outcome, InvocationOutcome::Success) {
-            series
-                .client_latency
-                .push(record.client_time.as_millis_f64());
-        } else {
-            series.failures += 1;
-        }
-        series.cost_usd += record.bill.total_usd();
     }
-    observe(&mut platform, &mut series, end, &mut next_sample);
-    let rest = end.saturating_duration_since(platform.now());
-    platform.advance(rest);
 
     // Tag traces and metrics chunks with the canonical cell index; the
     // driver sorts the merged sinks by it.

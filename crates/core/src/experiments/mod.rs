@@ -23,6 +23,7 @@ pub mod fleet;
 pub mod invocation_overhead;
 pub mod local;
 pub mod perf_cost;
+mod replay;
 
 pub use availability::{run_availability, AvailabilityResult, AvailabilitySeries, LabeledPolicy};
 pub use break_even::{run_break_even, BreakEvenRow};

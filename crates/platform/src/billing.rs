@@ -17,8 +17,9 @@
 
 use sebs_sim::SimDuration;
 
-/// The bill for one function invocation.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// The bill for one function invocation. The default is the zero bill of
+/// an attempt that never ran.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct InvocationBill {
     /// Compute charge in USD (GB-s and, on GCP, GHz-s).
     pub compute_usd: f64,

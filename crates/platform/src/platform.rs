@@ -1000,7 +1000,7 @@ impl FaasPlatform {
             response_bytes: 0,
             container: None,
             concurrency,
-            bill: zero_bill(),
+            bill: InvocationBill::default(),
             t_send_client: self.now.as_secs_f64(),
             t_start_server: 0.0,
             t_recv_client: 0.0,
@@ -1533,16 +1533,6 @@ fn build_chain_span(
         root.push_child(child);
     }
     root
-}
-
-fn zero_bill() -> InvocationBill {
-    InvocationBill {
-        compute_usd: 0.0,
-        request_usd: 0.0,
-        egress_usd: 0.0,
-        billed_duration: SimDuration::ZERO,
-        billed_memory_mb: 0,
-    }
 }
 
 /// Overrides the `model-cached` parameter so warm containers keep loaded

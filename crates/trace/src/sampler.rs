@@ -25,7 +25,7 @@
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
-use sebs_sim::{Rng, SimRng, StreamRng};
+use sebs_sim::{fnv1a, Rng, SimRng, StreamRng};
 
 use crate::sink::InvocationTrace;
 
@@ -206,18 +206,6 @@ impl TraceSampler {
         }
         by_seq.into_values().collect()
     }
-}
-
-/// FNV-1a over a function name — the per-function stream salt (stable
-/// across process, platform and fleet size; same constants as the fleet
-/// partitioning hash).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]
