@@ -1,25 +1,15 @@
-//! Network substrate for SeBS-RS.
+//! Clocks for SeBS-RS endpoints.
 //!
-//! Models the parts of the wide-area environment the paper's client-side
-//! measurements depend on:
+//! [`clock`] provides per-endpoint drifting clocks, so client and provider
+//! timestamps disagree and the min-RTT synchronization protocol (§6.4) has
+//! something real to estimate.
 //!
-//! * [`region`] — cloud regions and the client-to-region round-trip times
-//!   the paper measured (109 ms to AWS *us-east-1*, 20 ms to Azure, 33 ms to
-//!   GCP from their experiment server, §6.2 Q3),
-//! * [`network`] — links with stochastic RTT and fair-shared bandwidth,
-//!   giving payload-linear transfer times (the Figure 6 model),
-//! * [`clock`] — per-endpoint drifting clocks, so client and provider
-//!   timestamps disagree and the min-RTT synchronization protocol has
-//!   something real to estimate,
-//! * [`http`] — an HTTP connection model with handshake amortization
-//!   (the paper uses cURL specifically to exclude connection overheads).
+//! The wide-area network itself is not modelled here: each provider
+//! profile carries its client round-trip-time distribution
+//! (`ProviderProfile::client_rtt_ms`), and the platform's invoke path adds
+//! payload-linear transfer time at the client bandwidth (the Figure 6
+//! model).
 
 pub mod clock;
-pub mod http;
-pub mod network;
-pub mod region;
 
 pub use clock::DriftingClock;
-pub use http::{HttpConnection, HttpCost};
-pub use network::{Link, TransferKind};
-pub use region::Region;

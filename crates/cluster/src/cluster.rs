@@ -1,11 +1,12 @@
 //! The region: N hosts, a scheduler, a keep-alive controller, a compiled
-//! host-crash schedule, and a cluster-level retry loop that drives
+//! host-crash schedule, and the shared [`RetryDriver`] that drives
 //! failover onto surviving hosts.
 
 use sebs_platform::platform::DeployError;
 use sebs_platform::{
-    AttemptChain, FunctionConfig, FunctionErrorKind, FunctionId, InvocationBill, InvocationOutcome,
-    InvocationRecord, PoolObservation, ProviderKind, ProviderProfile, StartKind,
+    Attempt, AttemptChain, AttemptKind, ChainTimeline, FunctionConfig, FunctionErrorKind,
+    FunctionId, InvocationBill, InvocationOutcome, InvocationRecord, PoolObservation, ProviderKind,
+    ProviderProfile, RetryDriver, StartKind,
 };
 use sebs_resilience::{FaultPlan, RetryPolicy};
 use sebs_sim::rng::{Rng, StreamRng};
@@ -132,8 +133,8 @@ pub struct ClusterStats {
     pub unavailable: u64,
     /// Invocations lost mid-flight to a host crash.
     pub crash_failures: u64,
-    /// Retried attempts that landed on a different host than the
-    /// previous attempt (failover reschedules).
+    /// Retries that landed on a different host than the chain's previous
+    /// first attempt or retry (failover reschedules; hedges never count).
     pub failover_hops: u64,
     /// Sandboxes pre-warmed by the keep-alive policy.
     pub prewarms: u64,
@@ -146,13 +147,11 @@ struct FnMeta {
     memory_mb: u32,
 }
 
-struct AttemptResult {
-    record: InvocationRecord,
+/// Where one attempt of a chain ran, kept for its trace span.
+struct AttemptPlacement {
     host: Option<u32>,
     queue_wait: SimDuration,
-    /// Queue wait + the attempt's client time: how far this attempt
-    /// extends the chain on the cluster clock.
-    extent: SimDuration,
+    failover_hop: bool,
 }
 
 /// A region of hosts behind one dispatch loop. See the crate docs for
@@ -164,12 +163,12 @@ pub struct ClusterPlatform {
     keepalive: Box<dyn KeepAlivePolicy>,
     functions: Vec<FnMeta>,
     now: SimTime,
+    seed: u64,
     rng_sched: StreamRng,
-    rng_backoff: StreamRng,
     crash_events: Vec<CrashEvent>,
     next_crash: usize,
-    retry: RetryPolicy,
-    retries_spent: u64,
+    // `None` (the `RetryPolicy::none()` mapping) runs one plain attempt.
+    retry: Option<RetryDriver>,
     tracing: bool,
     trace_seq: u64,
     traces: Vec<InvocationTrace>,
@@ -210,12 +209,11 @@ impl ClusterPlatform {
             hosts,
             functions: Vec::new(),
             now: SimTime::ZERO,
+            seed,
             rng_sched: root.stream("cluster-sched"),
-            rng_backoff: root.stream("cluster-retry"),
             crash_events: Vec::new(),
             next_crash: 0,
-            retry: RetryPolicy::none(),
-            retries_spent: 0,
+            retry: None,
             tracing: false,
             trace_seq: 0,
             traces: Vec::new(),
@@ -241,15 +239,14 @@ impl ClusterPlatform {
         }
     }
 
-    /// Installs the cluster-level retry policy driving
-    /// [`ClusterPlatform::invoke_resilient`].
-    ///
-    /// Only attempts, backoff (base, cap, jitter), the retry budget and
-    /// the deadline take effect: the cluster never hedges and has no
-    /// circuit breaker, so `hedge_after_quantile` and `breaker` are
-    /// ignored here (`sebs cluster` rejects them).
+    /// Installs a fresh [`RetryDriver`] for the policy behind
+    /// [`ClusterPlatform::invoke_resilient`], drawing jitter from the
+    /// `cluster-retry` stream of the cluster seed. Every knob the single
+    /// box honours applies here too: attempts, backoff, budget,
+    /// deadline, hedging and the circuit breaker.
     pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.retry = policy;
+        self.retry = (!policy.is_none())
+            .then(|| RetryDriver::new(policy, SimRng::new(self.seed).stream("cluster-retry")));
     }
 
     /// Enables reschedule-hop tracing: each resilient invocation emits a
@@ -362,80 +359,58 @@ impl ClusterPlatform {
         workload: &dyn Workload,
         payload: &Payload,
     ) -> InvocationRecord {
-        let prewarm = self.arrival_bookkeeping(id);
-        let res = self.attempt(id, workload, payload, prewarm);
-        self.record_trace(id, self.now, res.extent, std::slice::from_ref(&res), 0);
-        res.record
+        let mut chain = self.drive(None, id, workload, payload);
+        chain
+            .attempts
+            .pop()
+            // audit:allow(panic-hygiene): a chain without a driver is exactly one attempt
+            .expect("a plain invoke launches one attempt")
     }
 
-    /// Invokes once under the installed [`RetryPolicy`]: failed retryable
-    /// attempts are re-scheduled — after backoff — on whatever host the
-    /// scheduler then picks, which is how failover lands on survivors.
-    /// Mirrors the single-box clock contract: the clock advances by each
-    /// failed attempt's extent plus its backoff wait; the final attempt
-    /// leaves the clock untouched (the driver owns time).
+    /// Invokes once under the installed [`RetryPolicy`]: the shared
+    /// [`RetryDriver`] re-schedules failed retryable attempts — after
+    /// backoff — on whatever host the scheduler then picks, which is how
+    /// failover lands on survivors. The cluster clock advances by each
+    /// failed attempt's extent (queue wait plus client time) plus its
+    /// wait; the final attempt leaves the clock untouched (the caller
+    /// owns time).
     pub fn invoke_resilient(
         &mut self,
         id: FunctionId,
         workload: &dyn Workload,
         payload: &Payload,
     ) -> AttemptChain {
-        let policy = self.retry.clone();
+        let mut driver = self.retry.take();
+        let chain = self.drive(driver.as_mut(), id, workload, payload);
+        self.retry = driver;
+        chain
+    }
+
+    /// Runs one chain through `driver` (one plain attempt without one)
+    /// and records its `cluster-invoke` trace.
+    fn drive(
+        &mut self,
+        driver: Option<&mut RetryDriver>,
+        id: FunctionId,
+        workload: &dyn Workload,
+        payload: &Payload,
+    ) -> AttemptChain {
         let chain_start = self.now;
-        let prewarm = self.arrival_bookkeeping(id);
-
-        let mut results: Vec<AttemptResult> = Vec::new();
-        let mut waits: Vec<SimDuration> = Vec::new();
-        let mut client_time = SimDuration::ZERO;
-        let mut prev_host: Option<u32> = None;
-        let mut retry_index: u32 = 0;
-        loop {
-            let res = self.attempt(id, workload, payload, prewarm && results.is_empty());
-            client_time += res.extent;
-            if let (Some(prev), Some(cur)) = (prev_host, res.host) {
-                if prev != cur {
-                    self.stats.failover_hops += 1;
-                }
-            }
-            if res.host.is_some() {
-                prev_host = res.host;
-            }
-            let outcome = res.record.outcome.clone();
-            let extent = res.extent;
-            results.push(res);
-
-            let attempts_left = (results.len() as u32) < policy.max_attempts;
-            let budget_left = policy.retry_budget.map_or(true, |b| self.retries_spent < b);
-            if !(outcome.retryable() && attempts_left && budget_left) {
-                break;
-            }
-            let wait = policy.backoff_for(retry_index, &mut self.rng_backoff);
-            if let Some(deadline) = policy.deadline {
-                if client_time + wait >= deadline {
-                    break;
-                }
-            }
-            self.retries_spent += 1;
-            retry_index += 1;
-            self.advance(extent + wait);
-            waits.push(wait);
-            client_time += wait;
-        }
-
-        self.record_trace(id, chain_start, client_time, &results, waits.len());
-        let outcome = results
-            .last()
-            .map(|r| r.record.outcome.clone())
-            .unwrap_or(InvocationOutcome::ServiceUnavailable);
-        AttemptChain {
-            attempts: results.into_iter().map(|r| r.record).collect(),
-            waits,
-            hedged: false,
-            hedge_won: false,
-            breaker_rejected: false,
-            outcome,
-            client_time,
-        }
+        let mut invoker = ClusterInvoker {
+            cluster: self,
+            id,
+            workload,
+            payload,
+            prev_host: None,
+            placements: Vec::new(),
+        };
+        let (chain, timeline) = match driver {
+            Some(driver) => driver.run(&mut invoker),
+            None => RetryDriver::single(&mut invoker),
+        };
+        let placements = invoker.placements;
+        self.record_trace(id, chain_start, &chain, &timeline, &placements);
+        chain
     }
 
     /// Keep-alive bookkeeping for one logical arrival: prewarm decision
@@ -465,14 +440,16 @@ impl ClusterPlatform {
     }
 
     /// One dispatch: sync crashes, build the candidate slate, schedule,
-    /// queue, invoke, and apply the crash-interrupt check.
-    fn attempt(
+    /// queue, invoke, and apply the crash-interrupt check. Returns the
+    /// record, the chosen host (none when shed or no host was up) and
+    /// the queue wait.
+    fn dispatch(
         &mut self,
         id: FunctionId,
         workload: &dyn Workload,
         payload: &Payload,
         prewarm: bool,
-    ) -> AttemptResult {
+    ) -> (InvocationRecord, Option<u32>, SimDuration) {
         let at = self.now;
         self.sync_crashes(at);
 
@@ -554,17 +531,16 @@ impl ClusterPlatform {
             host.count_served(record.start == StartKind::Cold);
             self.stats.dispatched += 1;
         }
-        AttemptResult {
-            extent: queue_wait + record.client_time,
-            queue_wait,
-            host: Some(picked),
-            record,
-        }
+        (record, Some(picked), queue_wait)
     }
 
     /// A synthesized rejection record (shed or no-host): nothing ran,
     /// nothing is billed, zero client time.
-    fn rejected(&self, id: FunctionId, outcome: InvocationOutcome) -> AttemptResult {
+    fn rejected(
+        &self,
+        id: FunctionId,
+        outcome: InvocationOutcome,
+    ) -> (InvocationRecord, Option<u32>, SimDuration) {
         let record = InvocationRecord {
             function: id,
             start: StartKind::Warm,
@@ -586,75 +562,58 @@ impl ClusterPlatform {
             t_start_server: 0.0,
             t_recv_client: self.now.as_secs_f64(),
         };
-        AttemptResult {
-            record,
-            host: None,
-            queue_wait: SimDuration::ZERO,
-            extent: SimDuration::ZERO,
-        }
+        (record, None, SimDuration::ZERO)
     }
 
     /// Emits the `cluster-invoke` span tree for one chain: a child per
-    /// attempt carrying host, outcome, start kind and queue wait, so
-    /// failover hops are visible in exported traces.
+    /// attempt, placed from the driver's timeline and carrying host,
+    /// outcome, start kind and queue wait, so failover hops and hedges
+    /// are visible in exported traces.
     fn record_trace(
         &mut self,
         id: FunctionId,
         chain_start: SimTime,
-        client_time: SimDuration,
-        results: &[AttemptResult],
-        hops_budget: usize,
+        chain: &AttemptChain,
+        timeline: &ChainTimeline,
+        placements: &[AttemptPlacement],
     ) {
         if !self.tracing {
             return;
         }
         let meta = &self.functions[id.0 as usize];
-        let mut root = TraceSpan::new("cluster-invoke", chain_start, client_time)
+        let mut root = TraceSpan::new("cluster-invoke", chain_start, timeline.extent)
             .with_arg("function", meta.name.clone())
-            .with_arg("attempts", results.len().to_string())
-            .with_arg("waits", hops_budget.to_string());
-        let mut cursor = chain_start;
-        let mut prev_host: Option<u32> = None;
-        for (i, res) in results.iter().enumerate() {
-            let mut child = TraceSpan::new(format!("attempt-{i}"), cursor, res.extent)
-                .with_arg("outcome", outcome_tag(&res.record.outcome))
-                .with_arg(
-                    "queue_wait_ms",
-                    format!("{:.3}", res.queue_wait.as_secs_f64() * 1e3),
-                );
-            match res.host {
-                Some(h) => {
-                    child = child.with_arg("host", h.to_string());
-                    if let Some(prev) = prev_host {
-                        if prev != h {
-                            child = child.with_arg("failover_hop", "true");
-                        }
-                    }
-                    prev_host = Some(h);
-                }
-                None => child = child.with_arg("host", "none"),
+            .with_arg("attempts", chain.attempts.len().to_string())
+            .with_arg("waits", chain.waits.len().to_string());
+        let attempts = chain.attempts.iter().zip(&timeline.starts).zip(placements);
+        for (i, ((record, offset), placed)) in attempts.enumerate() {
+            let mut child = TraceSpan::new(
+                format!("attempt-{i}"),
+                chain_start + *offset,
+                placed.queue_wait + record.client_time,
+            )
+            .with_arg("outcome", outcome_tag(&record.outcome))
+            .with_arg(
+                "queue_wait_ms",
+                format!("{:.3}", placed.queue_wait.as_secs_f64() * 1e3),
+            );
+            child = match placed.host {
+                Some(h) => child.with_arg("host", h.to_string()),
+                None => child.with_arg("host", "none"),
+            };
+            if placed.failover_hop {
+                child = child.with_arg("failover_hop", "true");
             }
-            if res.record.start == StartKind::Cold {
-                child = child.with_arg("start", "cold");
+            let start = if record.start == StartKind::Cold {
+                "cold"
             } else {
-                child = child.with_arg("start", "warm");
+                "warm"
+            };
+            child = child.with_arg("start", start);
+            if chain.hedged && i == 1 {
+                child = child.with_arg("hedge", "true");
             }
             root.push_child(child);
-            cursor += res.extent;
-            // Backoff waits sit between attempts inside the root interval.
-            if i < results.len() - 1 {
-                let total: SimDuration = results.iter().map(|r| r.extent).sum();
-                let wait_budget = if client_time > total {
-                    client_time - total
-                } else {
-                    SimDuration::ZERO
-                };
-                let remaining_gaps = results.len() - 1;
-                if remaining_gaps > 0 {
-                    cursor +=
-                        SimDuration::from_nanos(wait_budget.as_nanos() / remaining_gaps as u64);
-                }
-            }
         }
         debug_assert!(root.validate().is_ok(), "cluster span tree must validate");
         self.traces.push(InvocationTrace {
@@ -666,6 +625,52 @@ impl ClusterPlatform {
             root,
         });
         self.trace_seq += 1;
+    }
+}
+
+/// The region as an [`Attempt`] target for one chain: the first attempt
+/// is the keep-alive controller's logical arrival (and the only one that
+/// may prewarm), and a retry landing on a different host than the
+/// previous first attempt or retry counts as a failover hop.
+struct ClusterInvoker<'a> {
+    cluster: &'a mut ClusterPlatform,
+    id: FunctionId,
+    workload: &'a dyn Workload,
+    payload: &'a Payload,
+    prev_host: Option<u32>,
+    /// Filled only while tracing.
+    placements: Vec<AttemptPlacement>,
+}
+
+impl Attempt for ClusterInvoker<'_> {
+    fn now(&self) -> SimTime {
+        self.cluster.now
+    }
+
+    fn advance(&mut self, d: SimDuration) {
+        self.cluster.advance(d);
+    }
+
+    fn attempt(&mut self, kind: AttemptKind) -> (InvocationRecord, SimDuration) {
+        let prewarm = kind == AttemptKind::First && self.cluster.arrival_bookkeeping(self.id);
+        let (record, host, queue_wait) =
+            self.cluster
+                .dispatch(self.id, self.workload, self.payload, prewarm);
+        let mut failover_hop = false;
+        if let Some(h) = host.filter(|_| kind != AttemptKind::Hedge) {
+            failover_hop = self.prev_host.is_some_and(|prev| prev != h);
+            self.cluster.stats.failover_hops += u64::from(failover_hop);
+            self.prev_host = Some(h);
+        }
+        if self.cluster.tracing {
+            self.placements.push(AttemptPlacement {
+                host,
+                queue_wait,
+                failover_hop,
+            });
+        }
+        let extent = queue_wait + record.client_time;
+        (record, extent)
     }
 }
 

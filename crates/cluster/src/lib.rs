@@ -23,6 +23,10 @@
 //!   (plan, seed, host count). A crash evicts the host's entire warm
 //!   pool and fails in-flight invocations with the retryable
 //!   `host-crash` error; client retries land on surviving hosts, cold.
+//!   [`ClusterPlatform::invoke_resilient`] runs the same
+//!   `sebs_platform::RetryDriver` as the single box, so every
+//!   `RetryPolicy` knob applies: backoff, budget, deadline, hedging and
+//!   the circuit breaker.
 //! - Overload shedding: a host admits at most `cpus + queue_depth`
 //!   concurrent invocations; beyond that the cluster degrades into
 //!   `Throttled` instead of queueing unboundedly.
@@ -31,7 +35,7 @@
 //! statistically identical machines whose streams diverge with their
 //! invocation history), the scheduler draws from a dedicated
 //! `cluster-sched` stream **only when more than one candidate host
-//! exists**, and cluster-level retries draw backoff jitter from
+//! exists**, and the cluster's retry driver draws backoff jitter from
 //! `cluster-retry`. A 1-host cluster with the provider-baseline
 //! keep-alive, zero contention and an unbounded queue is therefore
 //! bit-identical to the bare single-box platform.

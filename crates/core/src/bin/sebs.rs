@@ -93,9 +93,8 @@ USAGE:
                 [--host-fault-rates R1,...]   (host-crash intensities;
                                                default 0,0.15,0.4)
                 [--functions N] [--invocations N] [--horizon-secs S]
-                [--zipf EXP] [--retry SPEC]   (attempts, base, cap, jitter,
-                                               budget, deadline; hedge and
-                                               breaker are rejected)
+                [--zipf EXP] [--retry SPEC]   (same keys as invoke; default
+                                               attempts=3)
                 [--jobs N] [--seed N]
                 [--csv FILE] [--json FILE] [--trace FILE] [--trace-format F]
                 Sweeps scheduler x keep-alive x host-fault intensity on a
@@ -181,7 +180,9 @@ struct Options {
     metrics: Option<String>,
     metrics_format: MetricsFormat,
     faults: FaultPlan,
-    retry: RetryPolicy,
+    /// Set only by `--retry`: commands with their own default policy
+    /// fall back to it when this is `None`.
+    retry: Option<RetryPolicy>,
     fault_rates: Vec<f64>,
     functions: usize,
     invocations: u64,
@@ -236,7 +237,7 @@ impl Options {
             metrics: None,
             metrics_format: MetricsFormat::Prom,
             faults: FaultPlan::empty(),
-            retry: RetryPolicy::none(),
+            retry: None,
             fault_rates: vec![0.0, 0.05, 0.25],
             functions: 1000,
             invocations: 100_000,
@@ -345,8 +346,10 @@ impl Options {
                         .map_err(|e| format!("bad --faults: {e}"))?
                 }
                 "--retry" => {
-                    o.retry = RetryPolicy::parse(&value("--retry")?)
-                        .map_err(|e| format!("bad --retry: {e}"))?
+                    o.retry = Some(
+                        RetryPolicy::parse(&value("--retry")?)
+                            .map_err(|e| format!("bad --retry: {e}"))?,
+                    )
                 }
                 "--fault-rates" => {
                     let list = value("--fault-rates")?;
@@ -526,7 +529,7 @@ fn cmd_invoke(o: &Options) -> Result<(), String> {
             .with_trace(o.trace.is_some())
             .with_metrics(o.metrics.is_some())
             .with_faults(o.faults.clone())
-            .with_retry(o.retry.clone()),
+            .with_retry(o.retry.clone().unwrap_or_default()),
     );
     let handle = suite
         .deploy(o.provider, benchmark, o.language, o.memory, o.scale)
@@ -535,7 +538,7 @@ fn cmd_invoke(o: &Options) -> Result<(), String> {
         "deployed {benchmark} ({}) on {} at {} MB",
         o.language, o.provider, o.memory
     );
-    let resilient = !o.retry.is_none();
+    let resilient = o.retry.as_ref().is_some_and(|p| !p.is_none());
     for i in 0..o.repetitions.max(1) {
         if o.cold {
             suite.enforce_cold_start(&handle);
@@ -743,14 +746,7 @@ fn cmd_availability(o: &Options) -> Result<(), String> {
         .with_trace(o.trace.is_some())
         .with_metrics(o.metrics.is_some())
         .with_faults(o.faults.clone());
-    let policies = if o.retry.is_none() {
-        LabeledPolicy::default_sweep()
-    } else {
-        vec![
-            LabeledPolicy::new("no-retry", RetryPolicy::none()),
-            LabeledPolicy::new("retry", o.retry.clone()),
-        ]
-    };
+    let policies = availability_policies(o);
     let suite = Suite::new(config);
     let result = run_availability(
         &suite,
@@ -813,30 +809,22 @@ fn cmd_availability(o: &Options) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs the scheduler × keep-alive × host-fault sweep on a multi-host
-/// region and prints one line per cell plus the Pareto breakdown.
-/// Stdout and every export are byte-identical for any `--jobs`.
-fn cmd_cluster(o: &Options) -> Result<(), String> {
-    // The cluster's retry loop has no hedging and no circuit breaker;
-    // refuse those keys instead of silently dropping them.
-    let mut ignored = Vec::new();
-    if o.retry.hedge_after_quantile.is_some() {
-        ignored.push("hedge");
+/// The availability sweep's policies: the default no-retry versus
+/// backoff-3 columns, or no-retry against exactly the `--retry` policy.
+fn availability_policies(o: &Options) -> Vec<LabeledPolicy> {
+    match &o.retry {
+        None => LabeledPolicy::default_sweep(),
+        Some(policy) => vec![
+            LabeledPolicy::new("no-retry", RetryPolicy::none()),
+            LabeledPolicy::new("retry", policy.clone()),
+        ],
     }
-    if o.retry.breaker.is_some() {
-        ignored.push("breaker");
-    }
-    if !ignored.is_empty() {
-        return Err(format!(
-            "sebs cluster does not support --retry key(s) {}; its retry loop honours \
-             attempts, base, cap, jitter, budget and deadline only",
-            ignored.join(", ")
-        ));
-    }
-    let config = SuiteConfig::default()
-        .with_seed(o.seed)
-        .with_jobs(o.jobs)
-        .with_trace(o.trace.is_some());
+}
+
+/// The cluster sweep the CLI flags describe. `--retry` replaces the
+/// sweep's default `backoff(3)` policy whenever it is given, even when it
+/// parses to [`RetryPolicy::none`].
+fn cluster_sweep(o: &Options) -> ClusterSweepConfig {
     let mut sweep = ClusterSweepConfig::new(o.provider);
     sweep.hosts = o.hosts;
     sweep.host_cpus = o.host_cpus;
@@ -849,8 +837,8 @@ fn cmd_cluster(o: &Options) -> Result<(), String> {
     sweep.schedulers = o.schedulers.clone();
     sweep.keepalives = o.keepalives.clone();
     sweep.host_fault_rates = o.host_fault_rates.clone();
-    if !o.retry.is_none() {
-        sweep.retry = o.retry.clone();
+    if let Some(policy) = &o.retry {
+        sweep.retry = policy.clone();
     }
     // The fleet/cluster defaults share Options fields; the fleet-scale
     // defaults (1000 fns / 10⁵ invocations) are too heavy for a
@@ -864,6 +852,18 @@ fn cmd_cluster(o: &Options) -> Result<(), String> {
     if o.horizon_secs == 7200 {
         sweep.horizon = ClusterSweepConfig::new(o.provider).horizon;
     }
+    sweep
+}
+
+/// Runs the scheduler × keep-alive × host-fault sweep on a multi-host
+/// region and prints one line per cell plus the Pareto breakdown.
+/// Stdout and every export are byte-identical for any `--jobs`.
+fn cmd_cluster(o: &Options) -> Result<(), String> {
+    let config = SuiteConfig::default()
+        .with_seed(o.seed)
+        .with_jobs(o.jobs)
+        .with_trace(o.trace.is_some());
+    let sweep = cluster_sweep(o);
     let model = sweep.synthetic_model(o.seed);
     let result = run_cluster(&config, &sweep, &model);
     for s in &result.series {
@@ -1184,20 +1184,33 @@ mod tests {
     }
 
     #[test]
-    fn cluster_rejects_retry_keys_it_cannot_honour() {
-        let tiny = "--functions 2 --invocations 20 --horizon-secs 60 --schedulers least-loaded \
-                    --keepalives provider --host-fault-rates 0 --jobs 1";
-        for (spec, named) in [
-            ("attempts=3,hedge=0.9", "key(s) hedge;"),
-            ("breaker=5@30000", "key(s) breaker;"),
-            ("hedge=0.95,breaker=5@30000", "key(s) hedge, breaker;"),
-        ] {
-            let mut args = vec!["--retry", spec];
-            args.extend(tiny.split_whitespace());
-            let o = parse(&args).unwrap();
-            let err = cmd_cluster(&o).expect_err(spec);
-            assert!(err.contains(named), "{spec}: {err}");
-        }
+    fn cluster_honours_every_retry_key() {
+        let spec = "attempts=3,hedge=0.9,breaker=5@30000";
+        let mut args = vec!["--retry", spec];
+        args.extend(
+            "--functions 2 --invocations 20 --horizon-secs 60 --schedulers least-loaded \
+             --keepalives provider --host-fault-rates 0 --jobs 1"
+                .split_whitespace(),
+        );
+        let o = parse(&args).unwrap();
+        assert_eq!(cluster_sweep(&o).retry, RetryPolicy::parse(spec).unwrap());
+        cmd_cluster(&o).expect("the cluster runs hedges and the breaker");
+    }
+
+    #[test]
+    fn retry_attempts_one_replaces_the_default_policies() {
+        // `attempts=1` parses to exactly `RetryPolicy::none()`; it must
+        // still replace each command's default policy.
+        let o = parse(&["--retry", "attempts=1"]).unwrap();
+        assert_eq!(o.retry, Some(RetryPolicy::none()));
+        assert!(cluster_sweep(&o).retry.is_none(), "no cluster retries");
+        let policies = availability_policies(&o);
+        assert_eq!(policies.len(), 2);
+        assert!(policies.iter().all(|p| p.policy.is_none()));
+        // Without `--retry` the defaults stay.
+        let o = parse(&[]).unwrap();
+        assert_eq!(cluster_sweep(&o).retry, RetryPolicy::backoff(3));
+        assert_eq!(availability_policies(&o), LabeledPolicy::default_sweep());
     }
 
     #[test]
@@ -1214,8 +1227,9 @@ mod tests {
         assert_eq!(o.faults.sandbox_crash_rate, 0.05);
         assert_eq!(o.faults.storage_error_rate, 0.02);
         assert_eq!(o.faults.outages.len(), 1);
-        assert_eq!(o.retry.max_attempts, 3);
-        assert_eq!(o.retry.jitter, 0.5);
+        let retry = o.retry.expect("--retry was given");
+        assert_eq!(retry.max_attempts, 3);
+        assert_eq!(retry.jitter, 0.5);
         assert_eq!(o.fault_rates, vec![0.0, 0.1, 0.5]);
     }
 

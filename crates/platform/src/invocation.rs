@@ -216,16 +216,18 @@ impl InvocationRecord {
     }
 }
 
-/// The client-visible result of `FaasPlatform::invoke_with_policy`: every
-/// attempt the policy launched (each one billed by the platform exactly
-/// like a standalone invocation), the backoff waits between them, and the
-/// effective end-to-end outcome the caller observed.
+/// The client-visible result of a [`crate::RetryDriver`] chain
+/// (`FaasPlatform::invoke_with_policy`, the cluster's `invoke_resilient`):
+/// every attempt the policy launched (each one billed by the platform
+/// exactly like a standalone invocation), the backoff waits between them,
+/// and the effective end-to-end outcome the caller observed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AttemptChain {
     /// Every attempt, in launch order (the hedge attempt, if any, follows
     /// the primary attempt it raced).
     pub attempts: Vec<InvocationRecord>,
-    /// Backoff wait before each retry: `waits[i]` precedes `attempts[i+1]`
+    /// Backoff wait before each retry: `waits[k]` precedes retry *k*+1,
+    /// which is `attempts[k+1]`, or `attempts[k+2]` when a hedge ran
     /// (hedges have no wait and no entry here).
     pub waits: Vec<SimDuration>,
     /// Whether a hedge attempt was launched.
@@ -237,24 +239,12 @@ pub struct AttemptChain {
     pub breaker_rejected: bool,
     /// The effective outcome the client observed.
     pub outcome: InvocationOutcome,
-    /// End-to-end client latency across all attempts and waits.
+    /// End-to-end client latency across all attempts and waits (a
+    /// winning hedge counts from the first send to its answer).
     pub client_time: SimDuration,
 }
 
 impl AttemptChain {
-    /// A chain wrapping one plain invocation (the no-op-policy fast path).
-    pub fn single(record: InvocationRecord) -> AttemptChain {
-        AttemptChain {
-            waits: Vec::new(),
-            hedged: false,
-            hedge_won: false,
-            breaker_rejected: false,
-            outcome: record.outcome.clone(),
-            client_time: record.client_time,
-            attempts: vec![record],
-        }
-    }
-
     /// Whether the chain ended in success.
     pub fn succeeded(&self) -> bool {
         self.outcome.is_success()

@@ -13,7 +13,8 @@
 //!    platform instance.
 //! 4. **Ephemeral storage** — also from `sebs-storage`.
 //! 5. **Invocation system** — [`platform::FaasPlatform`] ties scheduling,
-//!    concurrency limits, failures and billing together.
+//!    concurrency limits, failures and billing together; [`chain`] holds
+//!    the one client-side retry driver it shares with the cluster.
 //!
 //! Provider differences are *data*: a [`provider::ProviderProfile`] bundles
 //! the policies of Table 2 (memory/CPU allocation, billing, limits,
@@ -21,6 +22,7 @@
 //! Functions and Google Cloud Functions.
 
 pub mod billing;
+pub mod chain;
 pub mod coldstart;
 pub mod container;
 pub mod eviction;
@@ -34,6 +36,7 @@ pub mod trigger;
 pub mod vm;
 
 pub use billing::{BillingModel, InvocationBill};
+pub use chain::{Attempt, AttemptKind, ChainTimeline, RetryDriver};
 pub use coldstart::{ColdStartBreakdown, ColdStartModel};
 pub use container::{Container, ContainerId, ContainerState};
 pub use eviction::EvictionPolicy;

@@ -6,8 +6,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use sebs_cloud::DriftingClock;
-use sebs_resilience::{CircuitBreaker, FaultInjector, FaultPlan, FaultyStore, HedgeTracker};
-use sebs_resilience::{InjectionCounts, RetryPolicy};
+use sebs_resilience::{FaultInjector, FaultPlan, FaultyStore, InjectionCounts, RetryPolicy};
 use sebs_sim::rng::{Rng, StreamRng};
 use sebs_sim::{Phase, PhaseProfiler, SimDuration, SimRng, SimTime};
 use sebs_storage::{ObjectStorage, SimObjectStore, StorageOp};
@@ -16,6 +15,7 @@ use sebs_trace::{InvocationTrace, SamplerSpec, TraceSampler, TraceSpan};
 use sebs_workloads::{InvocationCtx, IoEvent, IoKind, Payload, Workload, WorkloadError};
 
 use crate::billing::InvocationBill;
+use crate::chain::{Attempt, AttemptKind, ChainTimeline, RetryDriver};
 use crate::function::{FunctionConfig, FunctionId};
 use crate::invocation::{
     AttemptChain, FunctionErrorKind, InvocationOutcome, InvocationRecord, StartKind,
@@ -176,16 +176,7 @@ pub struct FaasPlatform {
     faults: Option<FaultInjector>,
     // Client-side resilience: `None` (the `RetryPolicy::none()` mapping)
     // makes `invoke_with_policy` a plain `invoke` with no extra draws.
-    resilience: Option<ResilienceState>,
-}
-
-/// Mutable client-side state behind `invoke_with_policy`.
-struct ResilienceState {
-    policy: RetryPolicy,
-    rng_backoff: StreamRng,
-    breaker: Option<CircuitBreaker>,
-    hedge: Option<HedgeTracker>,
-    retries_spent: u64,
+    retry: Option<RetryDriver>,
 }
 
 impl std::fmt::Debug for FaasPlatform {
@@ -229,7 +220,7 @@ impl FaasPlatform {
             metrics: None,
             seed,
             faults: None,
-            resilience: None,
+            retry: None,
         }
     }
 
@@ -268,27 +259,14 @@ impl FaasPlatform {
         self.faults.as_ref().map_or(0, |f| f.draws())
     }
 
-    /// Installs the client-side retry policy driven by
-    /// [`FaasPlatform::invoke_with_policy`]. [`RetryPolicy::none`] removes
-    /// the state entirely: the wrapper then performs exactly one plain
-    /// `invoke` and touches no extra randomness.
+    /// Installs a fresh [`RetryDriver`] for the policy, drawing jitter
+    /// from the `retry-backoff` stream of the platform seed.
+    /// [`RetryPolicy::none`] removes it entirely: the wrapper then
+    /// performs exactly one plain `invoke` and touches no extra
+    /// randomness.
     pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.resilience = if policy.is_none() {
-            None
-        } else {
-            Some(ResilienceState {
-                breaker: policy.breaker.map(CircuitBreaker::new),
-                hedge: policy.hedge_after_quantile.map(HedgeTracker::new),
-                rng_backoff: SimRng::new(self.seed).stream("retry-backoff"),
-                retries_spent: 0,
-                policy,
-            })
-        };
-    }
-
-    /// Whether a non-trivial retry policy is installed.
-    pub fn resilience_active(&self) -> bool {
-        self.resilience.is_some()
+        self.retry = (!policy.is_none())
+            .then(|| RetryDriver::new(policy, SimRng::new(self.seed).stream("retry-backoff")));
     }
 
     /// Switches per-invocation trace collection on or off. Collection is
@@ -336,11 +314,6 @@ impl FaasPlatform {
         self.profiler = Some(PhaseProfiler::new());
     }
 
-    /// The accumulated phase profile, if profiling is enabled.
-    pub fn phase_profile(&self) -> Option<&PhaseProfiler> {
-        self.profiler.as_ref()
-    }
-
     /// Takes the accumulated phase profile, leaving profiling enabled
     /// with fresh counters.
     pub fn take_profile(&mut self) -> Option<PhaseProfiler> {
@@ -384,11 +357,6 @@ impl FaasPlatform {
         } else {
             self.metrics = None;
         }
-    }
-
-    /// Whether metrics collection is enabled.
-    pub fn metrics_enabled(&self) -> bool {
-        self.metrics.is_some()
     }
 
     /// Drains the metrics collected so far as one provider-tagged chunk,
@@ -732,184 +700,46 @@ impl FaasPlatform {
     ///
     /// With no policy installed ([`RetryPolicy::none`]) this is exactly
     /// one plain [`FaasPlatform::invoke`] — same draws, same clock, same
-    /// records. With a policy, failed retryable attempts are retried with
-    /// exponential backoff (the platform clock advances by each attempt's
-    /// client time plus the wait, so breaker cooldowns and container
-    /// lifecycles see real time passing), slow first attempts may be
-    /// hedged, and a tripped circuit breaker rejects calls locally.
-    /// **Every launched attempt is billed** — the chain's cost is the sum
-    /// over attempts, exactly what the cloud would charge.
+    /// records. With a policy, the [`RetryDriver`] runs the chain: the
+    /// platform clock advances by each attempt's client time plus the
+    /// wait, so breaker cooldowns and container lifecycles see real time
+    /// passing. **Every launched attempt is billed** — the chain's cost
+    /// is the sum over attempts, exactly what the cloud would charge.
     pub fn invoke_with_policy(
         &mut self,
         id: FunctionId,
         workload: &dyn Workload,
         payload: &Payload,
     ) -> AttemptChain {
-        let Some(mut state) = self.resilience.take() else {
-            return AttemptChain::single(self.invoke(id, workload, payload));
-        };
-        let chain = self.run_chain(id, workload, payload, &mut state);
-        self.resilience = Some(state);
-        chain
-    }
-
-    fn run_chain(
-        &mut self,
-        id: FunctionId,
-        workload: &dyn Workload,
-        payload: &Payload,
-        state: &mut ResilienceState,
-    ) -> AttemptChain {
-        let name = self.functions[id.0 as usize].config.name.clone();
-        let memory = self.functions[id.0 as usize].effective_memory_mb;
         let chain_start = self.now;
-        let policy = state.policy.clone();
-
-        if let Some(breaker) = state.breaker.as_mut() {
-            let admitted = breaker.allow(self.now);
-            let breaker_state = breaker.state();
-            let rejections = breaker.rejections();
-            if let Some(hub) = self.metrics.as_mut() {
-                let fun = [("function", name.as_str())];
-                hub.gauge_set("sebs_breaker_state", &fun, breaker_state.as_gauge() as f64);
-                if rejections > 0 {
-                    hub.counter_set("sebs_breaker_rejections_total", &fun, rejections as f64);
-                }
-            }
-            if !admitted {
-                return AttemptChain {
-                    attempts: Vec::new(),
-                    waits: Vec::new(),
-                    hedged: false,
-                    hedge_won: false,
-                    breaker_rejected: true,
-                    outcome: InvocationOutcome::ServiceUnavailable,
-                    client_time: SimDuration::ZERO,
-                };
-            }
-        }
-
-        let mut chain = AttemptChain {
-            attempts: Vec::new(),
-            waits: Vec::new(),
-            hedged: false,
-            hedge_won: false,
-            breaker_rejected: false,
-            outcome: InvocationOutcome::ServiceUnavailable,
-            client_time: SimDuration::ZERO,
+        let mut driver = self.retry.take();
+        let mut invoker = BoxInvoker {
+            platform: self,
+            id,
+            workload,
+            payload,
         };
-        let mut elapsed = SimDuration::ZERO;
-        let mut hedge_offset: Option<SimDuration> = None;
-        loop {
-            let attempt_index = chain.attempts.len() as u32;
-            let primary = self.invoke(id, workload, payload);
-            if attempt_index > 0 {
-                if let Some(hub) = self.metrics.as_mut() {
-                    hub.counter_add(
-                        "sebs_retry_attempts_total",
-                        &[("function", name.as_str())],
-                        1.0,
-                    );
-                }
-            }
-            // Hedge the first attempt when its latency exceeds the learned
-            // quantile threshold: the hedge launches at the threshold
-            // instant, and the effective response is whichever attempt
-            // answers first (successes preferred).
-            let hedge_threshold = state.hedge.as_ref().and_then(|h| h.threshold());
-            let mut attempt_outcome = primary.outcome.clone();
-            let mut attempt_time = primary.client_time;
-            let mut attempt_extent = primary.client_time;
-            if primary.outcome.is_success() {
-                if let Some(h) = state.hedge.as_mut() {
-                    h.observe(primary.client_time);
-                }
-            }
-            let primary_time = primary.client_time;
-            let primary_outcome = primary.outcome.clone();
-            chain.attempts.push(primary);
-            if attempt_index == 0 {
-                if let Some(threshold) = hedge_threshold.filter(|t| primary_time > *t) {
-                    chain.hedged = true;
-                    hedge_offset = Some(threshold);
-                    let hedge = self.invoke(id, workload, payload);
-                    if hedge.outcome.is_success() {
-                        if let Some(h) = state.hedge.as_mut() {
-                            h.observe(hedge.client_time);
-                        }
-                    }
-                    let hedge_total = threshold + hedge.client_time;
-                    attempt_extent = primary_time.max(hedge_total);
-                    let hedge_wins =
-                        match (primary_outcome.is_success(), hedge.outcome.is_success()) {
-                            (true, false) => false,
-                            (false, true) => true,
-                            _ => hedge_total < primary_time,
-                        };
-                    if hedge_wins {
-                        chain.hedge_won = true;
-                        attempt_outcome = hedge.outcome.clone();
-                        attempt_time = hedge_total;
-                    }
-                    if let Some(hub) = self.metrics.as_mut() {
-                        let result = if hedge_wins { "won" } else { "lost" };
-                        hub.counter_add("sebs_hedge_attempts_total", &[("result", result)], 1.0);
-                    }
-                    chain.attempts.push(hedge);
-                }
-            }
-
-            if let Some(breaker) = state.breaker.as_mut() {
-                if attempt_outcome.is_success() {
-                    breaker.record_success();
-                } else {
-                    breaker.record_failure(self.now + attempt_time);
-                }
-                let breaker_state = breaker.state();
-                if let Some(hub) = self.metrics.as_mut() {
-                    hub.gauge_set(
-                        "sebs_breaker_state",
-                        &[("function", name.as_str())],
-                        breaker_state.as_gauge() as f64,
-                    );
-                }
-            }
-
-            elapsed += attempt_time;
-            chain.outcome = attempt_outcome.clone();
-            let retryable = attempt_outcome.retryable();
-            let attempts_left = attempt_index + 1 < policy.max_attempts;
-            let budget_left = policy
-                .retry_budget
-                .is_none_or(|budget| state.retries_spent < budget);
-            if attempt_outcome.is_success() || !retryable || !attempts_left || !budget_left {
-                // The clock did not advance for the final attempt — same
-                // contract as a plain invoke, the driver owns time.
-                break;
-            }
-            let wait = policy.backoff_for(attempt_index, &mut state.rng_backoff);
-            if let Some(deadline) = policy.deadline {
-                if elapsed + wait >= deadline {
-                    break;
-                }
-            }
-            state.retries_spent += 1;
-            chain.waits.push(wait);
-            elapsed += wait;
-            // Let sim time pass for the attempt and the backoff so pool
-            // lifecycles, outage windows and breaker cooldowns see it.
-            self.advance(attempt_extent + wait);
-        }
-        chain.client_time = elapsed;
-
+        let (chain, timeline) = match driver.as_mut() {
+            Some(driver) => driver.run(&mut invoker),
+            None => RetryDriver::single(&mut invoker),
+        };
+        self.retry = driver;
         if self.tracing && chain.attempts.len() > 1 {
-            let root = build_chain_span(&chain, chain_start, hedge_offset);
+            let deployed = Rc::clone(&self.functions[id.0 as usize]);
+            let root = build_chain_span(&chain, &timeline, chain_start);
             debug_assert_eq!(root.validate(), Ok(()), "chain span tree is well-formed");
             let failed = !chain.outcome.is_success();
-            self.push_trace(&name, memory, root, failed);
+            self.push_trace(
+                &deployed.config.name,
+                deployed.effective_memory_mb,
+                root,
+                failed,
+            );
         }
         chain
     }
+
+    /// Invokes a function with `payloads.len()` concurrent requests.
     ///
     /// Returns one record per request, in submission order. The platform
     /// clock does **not** advance (the driver controls time).
@@ -1450,6 +1280,37 @@ impl FaasPlatform {
     }
 }
 
+/// The single box as an [`Attempt`] target: every attempt is one plain
+/// invoke, and its extent is the client time.
+struct BoxInvoker<'a> {
+    platform: &'a mut FaasPlatform,
+    id: FunctionId,
+    workload: &'a dyn Workload,
+    payload: &'a Payload,
+}
+
+impl Attempt for BoxInvoker<'_> {
+    fn now(&self) -> SimTime {
+        self.platform.now
+    }
+
+    fn advance(&mut self, d: SimDuration) {
+        self.platform.advance(d);
+    }
+
+    fn attempt(&mut self, _kind: AttemptKind) -> (InvocationRecord, SimDuration) {
+        let record = self.platform.invoke(self.id, self.workload, self.payload);
+        let extent = record.client_time;
+        (record, extent)
+    }
+
+    fn metrics(&mut self) -> Option<(&mut MetricsHub, &str)> {
+        let platform = &mut *self.platform;
+        let hub = platform.metrics.as_mut()?;
+        Some((hub, &platform.functions[self.id.0 as usize].config.name))
+    }
+}
+
 /// The intermediate quantities of `invoke_one` that the span layout needs.
 struct SpanParts<'a> {
     rtt: SimDuration,
@@ -1480,57 +1341,40 @@ fn classify_workload_error(e: &WorkloadError) -> FunctionErrorKind {
     }
 }
 
-/// Lays out the synthetic span tree of an attempt chain: sequential
-/// `attempt` children, the `hedge` attempt offset by the quantile
-/// threshold it launched at, and `backoff.wait` spans between retries.
-/// The effective (possibly hedge-shortened) latency is an arg on the
-/// root; the root interval covers the full extent of every attempt.
-fn build_chain_span(
-    chain: &AttemptChain,
-    start: SimTime,
-    hedge_offset: Option<SimDuration>,
-) -> TraceSpan {
-    let mut cursor = SimDuration::ZERO;
-    let mut children = Vec::new();
-    let mut attempt_no: usize = 0;
-    let mut i = 0;
-    while i < chain.attempts.len() {
-        let attempt = &chain.attempts[i];
-        let mut extent = attempt.client_time;
-        children.push(
-            TraceSpan::new("attempt", start + cursor, attempt.client_time)
-                .with_arg("index", attempt_no.to_string())
-                .with_arg("outcome", attempt.outcome.label()),
-        );
-        if attempt_no == 0 && chain.hedged {
-            let offset = hedge_offset.unwrap_or(SimDuration::ZERO);
-            let hedge = &chain.attempts[i + 1];
-            children.push(
-                TraceSpan::new("hedge", start + cursor + offset, hedge.client_time)
-                    .with_arg("outcome", hedge.outcome.label())
-                    .with_arg("won", chain.hedge_won.to_string()),
-            );
-            extent = extent.max(offset + hedge.client_time);
-            i += 1;
-        }
-        cursor += extent;
-        if attempt_no < chain.waits.len() {
-            let wait = chain.waits[attempt_no];
-            children.push(TraceSpan::new("backoff.wait", start + cursor, wait));
-            cursor += wait;
-        }
-        attempt_no += 1;
-        i += 1;
-    }
-    let mut root = TraceSpan::new("invoke.chain", start, cursor)
+/// Lays out the synthetic span tree of an attempt chain from the
+/// driver's timeline: `attempt` children, the `hedge` attempt at the
+/// threshold offset it raced from, and a `backoff.wait` span ending where
+/// each retry starts. The effective (possibly hedge-shortened) latency is
+/// an arg on the root; the root interval covers the chain's full extent.
+fn build_chain_span(chain: &AttemptChain, timeline: &ChainTimeline, start: SimTime) -> TraceSpan {
+    let mut root = TraceSpan::new("invoke.chain", start, timeline.extent)
         .with_arg("outcome", chain.outcome.label())
         .with_arg("attempts", chain.attempts.len().to_string())
         .with_arg(
             "effective_client_ms",
             format!("{:.3}", chain.client_time.as_millis_f64()),
         );
-    for child in children {
-        root.push_child(child);
+    let mut retry = 0;
+    for (i, (attempt, offset)) in chain.attempts.iter().zip(&timeline.starts).enumerate() {
+        let at = start + *offset;
+        if chain.hedged && i == 1 {
+            root.push_child(
+                TraceSpan::new("hedge", at, attempt.client_time)
+                    .with_arg("outcome", attempt.outcome.label())
+                    .with_arg("won", chain.hedge_won.to_string()),
+            );
+            continue;
+        }
+        if retry > 0 {
+            let wait = chain.waits[retry - 1];
+            root.push_child(TraceSpan::new("backoff.wait", at - wait, wait));
+        }
+        root.push_child(
+            TraceSpan::new("attempt", at, attempt.client_time)
+                .with_arg("index", retry.to_string())
+                .with_arg("outcome", attempt.outcome.label()),
+        );
+        retry += 1;
     }
     root
 }
@@ -2509,6 +2353,33 @@ mod tests {
             hedges > 0,
             "a p50 hedge threshold fires on roughly half the attempts"
         );
+    }
+
+    #[test]
+    fn a_hedge_uses_up_no_retry_and_skips_no_backoff_step() {
+        let mut p = FaasPlatform::new(ProviderProfile::aws(), 2021);
+        p.set_faults(FaultPlan::transient(0.6));
+        p.set_retry_policy(RetryPolicy::parse("attempts=4,hedge=0.1").unwrap());
+        let (fid, wl, payload) = deploy_html(&mut p, 256);
+        let mut hedged_with_two_waits = 0;
+        for _ in 0..400 {
+            let chain = p.invoke_with_policy(fid, &wl, &payload);
+            // The wait before retry k+1 is backoff_for(k): 100 ms doubling.
+            for (k, wait) in chain.waits.iter().enumerate() {
+                assert_eq!(*wait, SimDuration::from_millis(100 << k), "{chain:?}");
+            }
+            // A hedge is one extra billed attempt, never a spent retry.
+            let primaries = chain.billed_attempts() - usize::from(chain.hedged);
+            assert_eq!(primaries, chain.waits.len() + 1);
+            if !chain.succeeded() && chain.outcome.retryable() {
+                assert_eq!(primaries, 4, "a retryable failure uses every attempt");
+            }
+            if chain.hedged && chain.waits.len() >= 2 {
+                hedged_with_two_waits += 1;
+            }
+            p.advance(SimDuration::from_secs(1));
+        }
+        assert!(hedged_with_two_waits > 0, "the case is exercised");
     }
 
     #[test]

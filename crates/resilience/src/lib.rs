@@ -16,9 +16,11 @@
 //!   side: bounded retries with exponential backoff and deterministic
 //!   jitter, a retry budget, an optional per-invocation deadline, a
 //!   closed→open→half-open circuit breaker, and latency-quantile request
-//!   hedging. The platform's `invoke_with_policy` drives these and records
-//!   every attempt, so cost models bill retries and hedges like the cloud
-//!   would.
+//!   hedging. This crate holds the policy and its state machines only; the
+//!   one loop that runs them is `sebs_platform::RetryDriver`, shared by the
+//!   single-box `invoke_with_policy` and the cluster's `invoke_resilient`.
+//!   It records every attempt, so cost models bill retries and hedges like
+//!   the cloud would.
 
 pub mod fault;
 pub mod retry;

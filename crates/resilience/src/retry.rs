@@ -4,8 +4,9 @@
 //! invocation: bounded attempts, exponential backoff with deterministic
 //! jitter, a global retry budget, an optional per-invocation deadline,
 //! an optional [`CircuitBreaker`], and optional latency-quantile hedging
-//! via [`HedgeTracker`]. The policy is pure data — the platform's
-//! `invoke_with_policy` drives it and owns the RNG stream for jitter.
+//! via [`HedgeTracker`]. The policy is pure data — `sebs_platform`'s
+//! `RetryDriver`, the one loop behind both the single box and the
+//! cluster, drives it and owns the RNG stream for jitter.
 //!
 //! Determinism contract: [`RetryPolicy::none`] performs no retries, no
 //! breaker bookkeeping, and no hedging, and `backoff_for` draws jitter
@@ -181,7 +182,8 @@ impl HedgeTracker {
 /// determinism contract.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RetryPolicy {
-    /// Total attempts including the first (1 = no retries).
+    /// The first attempt plus its retries (1 = no retries). A hedge is
+    /// an extra billed attempt and does not count here.
     pub max_attempts: u32,
     /// First backoff wait; doubles per retry.
     pub base_backoff: SimDuration,
@@ -241,8 +243,9 @@ impl RetryPolicy {
     }
 
     /// The wait before retry number `retry_index` (0-based: the wait
-    /// between attempt 1 and attempt 2 has index 0). Draws from `rng`
-    /// only when `jitter > 0` and the un-jittered wait is non-zero.
+    /// before the first retry has index 0; hedges are not retries).
+    /// Draws from `rng` only when `jitter > 0` and the un-jittered wait
+    /// is non-zero.
     pub fn backoff_for(&self, retry_index: u32, rng: &mut StreamRng) -> SimDuration {
         let exp = retry_index.min(30);
         // Saturating: base backoffs ≳ 17 s doubled 30 times overflow u64

@@ -3,9 +3,8 @@
 //! This crate provides the substrate on which the FaaS platform model is
 //! built: a virtual clock ([`SimTime`] / [`SimDuration`]), a deterministic
 //! multi-stream random number generator ([`rng::SimRng`]), probability
-//! distributions for latency modelling ([`dist::Dist`]), resource-contention
-//! primitives ([`resource`]), the sim-time phase profiler ([`profile`]) and
-//! the stable [`fnv1a`] name hash.
+//! distributions for latency modelling ([`dist::Dist`]), the sim-time phase
+//! profiler ([`profile`]) and the stable [`fnv1a`] name hash.
 //!
 //! There is no event queue here: experiment drivers walk an
 //! already-sorted arrival stream and advance the platform clock to each
@@ -32,7 +31,6 @@
 pub mod bytes;
 pub mod dist;
 pub mod profile;
-pub mod resource;
 pub mod rng;
 pub mod time;
 

@@ -1,7 +1,7 @@
 //! Storage substrates for SeBS-RS.
 //!
-//! The paper's platform model (§2) distinguishes three storage layers, all
-//! reproduced here:
+//! The paper's platform model (§2) distinguishes persistent and ephemeral
+//! storage; both are reproduced here:
 //!
 //! * **❸ persistent storage** ([`object`]) — S3 / Blob Storage / Cloud
 //!   Storage equivalents: high throughput, high latency, priced per request
@@ -9,20 +9,15 @@
 //!   paper's "translation layer that exposes a single API" across providers.
 //! * **❹ ephemeral storage** ([`ephemeral`]) — Redis-class in-memory
 //!   key-value store with µs-scale latency and lifetime bound to a VM.
-//! * **local disk** ([`disk`]) — the sandbox's temporary disk space, limited
-//!   to 500 MB on AWS (shared with the code package), backed by Azure Files
-//!   on Azure, and counted against function memory on GCP (Table 2).
 //!
 //! Every operation returns both its *result* and its simulated *latency*,
 //! so workloads remain pure functions of their inputs while the platform
 //! accumulates realistic time.
 
-pub mod disk;
 pub mod ephemeral;
 pub mod object;
 pub mod pricing;
 
-pub use disk::{DiskError, LocalDisk};
 pub use ephemeral::EphemeralKv;
 pub use object::{ObjectStorage, SimObjectStore, StorageError, StorageOp, StorageStats};
 pub use pricing::StoragePricing;

@@ -235,11 +235,6 @@ impl SimObjectStore {
         self
     }
 
-    /// Download bandwidth in bytes/second.
-    pub fn read_bandwidth(&self) -> f64 {
-        self.read_bps
-    }
-
     /// Number of objects across all buckets.
     pub fn object_count(&self) -> usize {
         self.buckets.values().map(|b| b.len()).sum()

@@ -1,25 +1,32 @@
 //! Cross-crate test: the min-RTT clock-sync protocol (sebs-stats) running
-//! over a simulated noisy link with drifting endpoint clocks (sebs-cloud) —
-//! the §6.4 measurement chain without the platform in between.
+//! over a simulated noisy channel with drifting endpoint clocks
+//! (sebs-cloud) — the §6.4 measurement chain without the platform in
+//! between.
 
-use sebs_cloud::{DriftingClock, Link, TransferKind};
-use sebs_sim::rng::Rng;
+use sebs_cloud::DriftingClock;
+use sebs_sim::rng::{Rng, StreamRng};
 use sebs_sim::{Dist, SimDuration, SimRng, SimTime};
 use sebs_stats::clocksync::PingPong;
 use sebs_stats::ClockSync;
 
-/// Simulates `n` ping-pong exchanges over the link and returns the
+/// One-way delay of a 200-byte message: half a heavy-tailed RTT plus
+/// serialization at 50 MB/s.
+fn one_way(rng: &mut StreamRng) -> SimDuration {
+    Dist::shifted_lognormal(18.0, 1.8, 0.7).sample_millis(rng) / 2
+        + SimDuration::from_secs_f64(200.0 / 50e6)
+}
+
+/// Simulates `n` ping-pong exchanges over the channel and returns the
 /// protocol's outcome plus the true offset at the end.
 fn run_protocol(seed: u64, n_threshold: usize, offset: f64, skew: f64) -> (f64, f64, bool) {
-    let link = Link::new(Dist::shifted_lognormal(18.0, 1.8, 0.7), 50e6);
     let client_clock = DriftingClock::ideal();
     let server_clock = DriftingClock::new(offset, skew);
     let mut rng = SimRng::new(seed).stream("sync");
     let mut sync = ClockSync::new(n_threshold);
     let mut now = SimTime::from_secs(100);
     for _ in 0..500 {
-        let out = link.transfer_time(&mut rng, TransferKind::Upload, 200);
-        let back = link.transfer_time(&mut rng, TransferKind::Download, 200);
+        let out = one_way(&mut rng);
+        let back = one_way(&mut rng);
         let t_send = client_clock.read(now);
         let t_server = server_clock.read(now + out);
         let t_recv = client_clock.read(now + out + back);
@@ -65,13 +72,12 @@ fn skewed_clocks_still_estimated_within_tolerance() {
 #[test]
 fn stricter_thresholds_use_more_exchanges() {
     let exchanges = |threshold: usize| {
-        let link = Link::new(Dist::shifted_lognormal(18.0, 1.8, 0.7), 50e6);
         let mut rng = SimRng::new(11).stream("sync");
         let mut sync = ClockSync::new(threshold);
         let mut count = 0;
         for _ in 0..500 {
-            let out = link.transfer_time(&mut rng, TransferKind::Upload, 200);
-            let back = link.transfer_time(&mut rng, TransferKind::Download, 200);
+            let out = one_way(&mut rng);
+            let back = one_way(&mut rng);
             count += 1;
             if sync.observe(PingPong {
                 t_send: 0.0,

@@ -1,6 +1,7 @@
 //! Cluster fault-domain integration tests: crash-schedule purity,
-//! single-box bit-identity of the degenerate 1-host region, warm-pool
-//! eviction on crash, and failover of retried attempts onto survivors.
+//! single-box bit-identity of the degenerate 1-host region (retry policy
+//! knobs included), trace placement of retries, warm-pool eviction on
+//! crash, and failover of retried attempts onto survivors.
 
 use sebs::config::SuiteConfig;
 use sebs::experiments::cluster::{run_cluster, ClusterSweepConfig};
@@ -131,7 +132,7 @@ fn single_box_cluster_matches_bare_platform() {
         let mut cluster = ClusterPlatform::new(ClusterConfig::single_box(ProviderKind::Aws), seed);
         cluster.set_faults(plan, seed);
         cluster.set_retry_policy(policy);
-        let cluster_id = cluster.deploy(cfg).expect("deploys");
+        let cluster_id = cluster.deploy(cfg.clone()).expect("deploys");
         let cluster_payload = cluster.prepare(&wl, Scale::Test);
         for i in 0..20 {
             let b = bare.invoke_with_policy(bare_id, &wl, &bare_payload);
@@ -145,6 +146,94 @@ fn single_box_cluster_matches_bare_platform() {
             cluster.advance(gap);
         }
     }
+
+    // Every knob at once: both invokers run the same driver, so hedges,
+    // breaker rejections, budget and deadline line up chain for chain.
+    // Jitter stays 0 because the two draw it from different streams.
+    {
+        let plan = FaultPlan::parse("crash=0.35").expect("valid plan");
+        let policy = RetryPolicy::parse(
+            "attempts=4,base=50,cap=400,budget=40,deadline=3000,hedge=0.5,breaker=3@2000",
+        )
+        .expect("valid policy");
+        let mut bare = FaasPlatform::new(ProviderProfile::aws(), seed);
+        bare.set_faults(plan.clone());
+        bare.set_retry_policy(policy.clone());
+        let bare_id = bare.deploy(cfg.clone()).expect("deploys");
+        let bare_payload = bare.prepare(&wl, Scale::Test);
+        let mut cluster = ClusterPlatform::new(ClusterConfig::single_box(ProviderKind::Aws), seed);
+        cluster.set_faults(plan, seed);
+        cluster.set_retry_policy(policy);
+        cluster.set_tracing(true);
+        let cluster_id = cluster.deploy(cfg).expect("deploys");
+        let cluster_payload = cluster.prepare(&wl, Scale::Test);
+        let (mut hedged, mut rejected, mut retried) = (0, 0, 0);
+        for i in 0..120 {
+            let b = bare.invoke_with_policy(bare_id, &wl, &bare_payload);
+            let c = cluster.invoke_resilient(cluster_id, &wl, &cluster_payload);
+            assert_eq!(b, c, "chain {i}");
+            hedged += usize::from(b.hedged);
+            rejected += usize::from(b.breaker_rejected);
+            retried += usize::from(!b.waits.is_empty());
+            let gap = SimDuration::from_millis(250);
+            bare.advance(gap);
+            cluster.advance(gap);
+        }
+        assert!(hedged > 0, "hedges ran");
+        assert!(rejected > 0, "the breaker rejected chains");
+        assert!(retried > 0, "chains retried");
+        // Every chain is traced, and each hedge child is marked and fits
+        // inside its chain's span.
+        let traces = cluster.take_traces();
+        assert_eq!(traces.len(), 120);
+        let hedge_arg = ("hedge".to_string(), "true".to_string());
+        let hedge_spans = traces
+            .iter()
+            .inspect(|t| assert_eq!(t.root.validate(), Ok(())))
+            .filter(|t| t.root.children.iter().any(|c| c.args.contains(&hedge_arg)))
+            .count();
+        assert_eq!(hedge_spans, hedged);
+    }
+}
+
+/// Cluster trace children sit where the driver placed them: each retry
+/// starts after the previous attempt's extent plus its own backoff wait,
+/// not an average of the waits.
+#[test]
+fn cluster_traces_place_each_retry_after_its_own_wait() {
+    let mut cluster = ClusterPlatform::new(ClusterConfig::new(ProviderKind::Aws), 3);
+    cluster.set_faults(FaultPlan::transient(1.0), 3);
+    cluster.set_retry_policy(RetryPolicy::backoff(3));
+    cluster.set_tracing(true);
+    let wl = DynamicHtml::new(Language::Python);
+    let id = cluster
+        .deploy(FunctionConfig::new("dynamic-html", Language::Python, 256))
+        .expect("deploys");
+    let payload = cluster.prepare(&wl, Scale::Test);
+    let chain = cluster.invoke_resilient(id, &wl, &payload);
+    assert_eq!(chain.billed_attempts(), 3);
+    assert_eq!(
+        chain.waits,
+        vec![SimDuration::from_millis(100), SimDuration::from_millis(200)]
+    );
+    let traces = cluster.take_traces();
+    let root = &traces.last().expect("one trace per chain").root;
+    assert_eq!(root.name, "cluster-invoke");
+    assert_eq!(root.validate(), Ok(()));
+    assert_eq!(root.children.len(), 3);
+    for (k, pair) in root.children.windows(2).enumerate() {
+        assert_eq!(
+            pair[1].start,
+            pair[0].end() + chain.waits[k],
+            "attempt-{} starts after attempt-{k} and its wait",
+            k + 1
+        );
+    }
+    assert_eq!(
+        root.end(),
+        root.children[2].end(),
+        "the root ends with the chain"
+    );
 }
 
 /// Finds a seed whose compiled schedule crashes host 0 (the host the
