@@ -22,7 +22,9 @@ use sebs::runner::available_jobs;
 use sebs::{fleet_report, ExperimentGrid, ParallelRunner, ReportFormat, Suite, SuiteConfig};
 use sebs_cluster::{KeepAliveKind, SchedulerKind};
 use sebs_metrics::TextTable;
-use sebs_platform::{ProviderKind, StartKind, TriggerKind};
+use sebs_platform::{
+    FaasPlatform, FunctionConfig, ProviderKind, ProviderProfile, StartKind, TriggerKind,
+};
 use sebs_resilience::{FaultPlan, RetryPolicy};
 use sebs_sim::SimDuration;
 use sebs_telemetry::{csv_timeseries, prometheus_text, MetricsSink};
@@ -916,12 +918,14 @@ fn cmd_cluster(o: &Options) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs the trace-driven fleet replay and prints a per-cell breakdown
-/// plus a fleet summary. The whole replay — stdout, CSV/JSON exports,
-/// traces and metrics — is byte-identical for every `--jobs` value.
 /// Builds the fleet knobs and trace model from the CLI flags, resolving
 /// `--import` (both `fleet` and `report` share this path). Progress notes
 /// go to stderr so stdout stays byte-stable for the determinism matrix.
+///
+/// # Errors
+///
+/// Fails when the import cannot be read or parsed, or names a function
+/// the provider refuses to deploy.
 fn fleet_model(o: &Options) -> Result<(FleetConfig, TraceModel), String> {
     let mut fleet = FleetConfig {
         provider: o.provider,
@@ -947,6 +951,7 @@ fn fleet_model(o: &Options) -> Result<(FleetConfig, TraceModel), String> {
                 m.horizon,
                 o.import.as_deref().unwrap_or_default()
             );
+            check_deployable(o.provider, &m)?;
             m
         }
         None => {
@@ -959,6 +964,29 @@ fn fleet_model(o: &Options) -> Result<(FleetConfig, TraceModel), String> {
     Ok((fleet, model))
 }
 
+/// Rejects a model holding a function `provider` refuses to deploy, such
+/// as an imported memory size outside its limits. `run_fleet` would drop
+/// that function's whole cell without a word. Synthetic fleets draw only
+/// sizes every provider accepts, so only imports need the check.
+fn check_deployable(provider: ProviderKind, model: &TraceModel) -> Result<(), String> {
+    let mut platform = FaasPlatform::new(ProviderProfile::for_kind(provider), 0);
+    for f in &model.functions {
+        let p = &f.profile;
+        platform
+            .deploy(FunctionConfig::new(&p.name, p.language, p.memory_mb))
+            .map_err(|e| {
+                format!(
+                    "function `{}` cannot be deployed on {provider}: {e}",
+                    p.name
+                )
+            })?;
+    }
+    Ok(())
+}
+
+/// Runs the trace-driven fleet replay and prints a per-cell breakdown
+/// plus a fleet summary. The whole replay — stdout, CSV/JSON exports,
+/// traces and metrics — is byte-identical for every `--jobs` value.
 fn cmd_fleet(o: &Options) -> Result<(), String> {
     let config = SuiteConfig::default()
         .with_seed(o.seed)
@@ -1289,6 +1317,35 @@ mod tests {
         assert!(parse(&["--functions", "many"])
             .unwrap_err()
             .contains("--functions"));
+    }
+
+    #[test]
+    fn fleet_rejects_an_imported_function_the_provider_cannot_deploy() {
+        // Resolves `--import` of a CSV holding `rows`, as `fleet` does.
+        let import = |tag: &str, rows: &str| {
+            let path = std::env::temp_dir()
+                .join(format!("sebs-cli-import-{tag}-{}.csv", std::process::id()));
+            std::fs::write(
+                &path,
+                format!("function,offset_ms,duration_ms,memory_mb\n{rows}"),
+            )
+            .unwrap();
+            let o = parse(&["--import", path.to_str().unwrap(), "--cells", "2"]).unwrap();
+            let result = fleet_model(&o);
+            std::fs::remove_file(&path).unwrap();
+            result
+        };
+        let err = import(
+            "bad",
+            "a,0,100,128\nb,10,100,128\nc,20,100,64\nd,30,100,256\ne,40,100,128\nf,50,100,512\n",
+        )
+        .unwrap_err();
+        assert!(
+            err.contains("function `c`") && err.contains("64 MB"),
+            "the error names the function and the provider's reason: {err}"
+        );
+        let (fleet, model) = import("ok", "a,0,100,128\nb,10,100,256\n").unwrap();
+        assert_eq!((fleet.functions, model.functions.len()), (2, 2));
     }
 
     #[test]

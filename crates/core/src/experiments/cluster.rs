@@ -470,7 +470,7 @@ fn sample_cell(
         host_stats: Vec::new(),
     };
 
-    let replay = ReplayStream::new(arrivals, sweep.horizon);
+    let replay = ReplayStream::new(arrivals.iter().copied(), sweep.horizon);
     let sample_secs = replay.period().as_secs_f64();
     let payload = Payload::empty();
     for ev in replay {

@@ -26,7 +26,7 @@ use sebs_platform::{
 use sebs_sim::{fnv1a, Phase, PhaseProfiler, SimDuration, SimRng};
 use sebs_telemetry::MetricsSink;
 use sebs_trace::TraceSink;
-use sebs_workload_gen::{Arrival, SyntheticFunction, SyntheticSpec, TraceModel};
+use sebs_workload_gen::{SyntheticFunction, SyntheticSpec, TraceModel};
 use sebs_workloads::Payload;
 
 use super::replay::{Event, ReplayStream};
@@ -239,39 +239,26 @@ impl FleetResult {
 
 /// Replays `model` with the worker count from [`SuiteConfig::jobs`].
 ///
-/// The trace is expanded once (deterministically in
-/// [`SuiteConfig::seed`]), functions are hash-partitioned into
-/// [`FleetConfig::cells`] cells, and each cell replays its share on an
-/// independent cell-salted platform.
+/// Functions are hash-partitioned into [`FleetConfig::cells`] cells, and
+/// each cell replays its share on an independent cell-salted platform.
+/// A cell streams its functions' arrivals from [`TraceModel::arrivals`]
+/// (deterministically in [`SuiteConfig::seed`]) as it replays them, so
+/// no trace is built and memory stays flat in the invocation count.
+///
+/// A cell holding a function the provider refuses to deploy is dropped
+/// from the result whole: its functions and invocations appear nowhere.
+/// Callers replaying an imported trace should check deployability first,
+/// as `sebs fleet` and `sebs report` do.
 pub fn run_fleet(config: &SuiteConfig, fleet: &FleetConfig, model: &TraceModel) -> FleetResult {
-    let trace = model.generate(config.seed);
     let cells = fleet.cells.max(1);
-    let cell_of_fn: Vec<usize> = model
-        .functions
-        .iter()
-        .map(|f| (fnv1a(f.profile.name.as_bytes()) % cells as u64) as usize)
-        .collect();
     let mut fns_per_cell: Vec<Vec<usize>> = vec![Vec::new(); cells];
-    for (i, &c) in cell_of_fn.iter().enumerate() {
-        fns_per_cell[c].push(i);
-    }
-    let mut arrivals_per_cell: Vec<Vec<Arrival>> = vec![Vec::new(); cells];
-    for a in &trace.arrivals {
-        if let Some(&c) = cell_of_fn.get(a.function as usize) {
-            arrivals_per_cell[c].push(*a);
-        }
+    for (i, f) in model.functions.iter().enumerate() {
+        fns_per_cell[(fnv1a(f.profile.name.as_bytes()) % cells as u64) as usize].push(i);
     }
 
     let runner = ParallelRunner::new(config.jobs);
     let sampled = runner.run(cells, |i| {
-        sample_cell(
-            config,
-            fleet,
-            model,
-            i,
-            &fns_per_cell[i],
-            &arrivals_per_cell[i],
-        )
+        sample_cell(config, fleet, model, i, &fns_per_cell[i])
     });
 
     let mut series = Vec::new();
@@ -309,7 +296,6 @@ fn sample_cell(
     model: &TraceModel,
     index: usize,
     fn_indices: &[usize],
-    arrivals: &[Arrival],
 ) -> Option<(
     FleetCellSeries,
     TraceSink,
@@ -357,6 +343,7 @@ fn sample_cell(
     };
 
     let payload = Payload::empty();
+    let arrivals = model.arrivals(config.seed, fn_indices);
     for ev in ReplayStream::new(arrivals, fleet.horizon) {
         platform.advance(ev.at().saturating_duration_since(platform.now()));
         match ev {

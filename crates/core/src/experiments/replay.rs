@@ -1,11 +1,10 @@
 //! The replay stream: the one event loop behind [`run_fleet`] and
 //! [`run_cluster`].
 //!
-//! A cell replays an already time-sorted slice of arrivals and samples
-//! its warm pools on a fixed grid across the horizon. [`ReplayStream`]
-//! merges the two into one ordered sequence of [`Event`]s, so a driver
-//! keeps only two steps per event: advance its clock to the event, then
-//! handle it.
+//! A cell replays a time-ordered stream of arrivals and samples its warm
+//! pools on a fixed grid across the horizon. [`ReplayStream`] merges the
+//! two into one ordered sequence of [`Event`]s, so a driver keeps only
+//! two steps per event: advance its clock to the event, then handle it.
 //!
 //! ```text
 //! for ev in ReplayStream::new(arrivals, horizon) {
@@ -13,6 +12,11 @@
 //!     match ev { Sample(_) => …, Arrival(a) => …, End(_) => {} }
 //! }
 //! ```
+//!
+//! The arrivals can be any iterator sorted by time. A fleet cell pulls
+//! its functions' arrivals lazily from [`TraceModel::arrivals`], so no
+//! trace is built; the cluster sweep copies them out of the one trace
+//! its cells share.
 //!
 //! The stream owns the sampling policy:
 //!
@@ -23,13 +27,15 @@
 //! * an arrival after the horizon is still yielded, before `End`;
 //! * `End(horizon)` comes last, once.
 //!
-//! Reaching the next arrival costs one slice step; no event queue is
-//! needed because the arrivals are sorted before the replay starts.
+//! Deciding whether a sample comes first takes one peek at the next
+//! arrival; no event queue is needed because the arrivals already come
+//! in time order.
 //!
 //! [`run_fleet`]: super::run_fleet
 //! [`run_cluster`]: super::run_cluster
+//! [`TraceModel::arrivals`]: sebs_workload_gen::TraceModel::arrivals
 
-use std::slice;
+use std::iter::Peekable;
 
 use sebs_sim::{SimDuration, SimTime};
 use sebs_workload_gen::Arrival;
@@ -43,16 +49,16 @@ const MIN_SAMPLE_PERIOD: SimDuration = SimDuration::from_secs(1);
 
 /// One step of a cell's replay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Event<'a> {
+pub(crate) enum Event {
     /// An occupancy sample is due.
     Sample(SimTime),
     /// A request arrives.
-    Arrival(&'a Arrival),
+    Arrival(Arrival),
     /// The horizon: the last event, after which the cell is done.
     End(SimTime),
 }
 
-impl Event<'_> {
+impl Event {
     /// The sim instant the driver advances its clock to.
     pub(crate) fn at(&self) -> SimTime {
         match self {
@@ -62,11 +68,11 @@ impl Event<'_> {
     }
 }
 
-/// Sorted arrivals merged with the occupancy-sample grid. See the module
-/// docs for the ordering rules.
+/// Time-ordered arrivals merged with the occupancy-sample grid. See the
+/// module docs for the ordering rules.
 #[derive(Debug)]
-pub(crate) struct ReplayStream<'a> {
-    arrivals: slice::Iter<'a, Arrival>,
+pub(crate) struct ReplayStream<I: Iterator<Item = Arrival>> {
+    arrivals: Peekable<I>,
     period: SimDuration,
     /// The next grid instant; `None` once the grid passes the horizon.
     next_sample: Option<SimTime>,
@@ -74,15 +80,15 @@ pub(crate) struct ReplayStream<'a> {
     ended: bool,
 }
 
-impl<'a> ReplayStream<'a> {
+impl<I: Iterator<Item = Arrival>> ReplayStream<I> {
     /// A stream over `arrivals` (sorted by time) up to `horizon`.
-    pub(crate) fn new(arrivals: &'a [Arrival], horizon: SimDuration) -> ReplayStream<'a> {
+    pub(crate) fn new(arrivals: I, horizon: SimDuration) -> ReplayStream<I> {
         let period =
             SimDuration::from_nanos(horizon.as_nanos() / OCCUPANCY_SAMPLES).max(MIN_SAMPLE_PERIOD);
         let end = SimTime::ZERO.saturating_add(horizon);
         let first = SimTime::ZERO.saturating_add(period);
         ReplayStream {
-            arrivals: arrivals.iter(),
+            arrivals: arrivals.peekable(),
             period,
             next_sample: Some(first).filter(|&t| t <= end),
             end,
@@ -96,12 +102,12 @@ impl<'a> ReplayStream<'a> {
     }
 }
 
-impl<'a> Iterator for ReplayStream<'a> {
-    type Item = Event<'a>;
+impl<I: Iterator<Item = Arrival>> Iterator for ReplayStream<I> {
+    type Item = Event;
 
-    fn next(&mut self) -> Option<Event<'a>> {
+    fn next(&mut self) -> Option<Event> {
         if let Some(t) = self.next_sample {
-            let due = match self.arrivals.as_slice().first() {
+            let due = match self.arrivals.peek() {
                 Some(a) => t <= a.at,
                 None => true,
             };
@@ -126,6 +132,7 @@ impl<'a> Iterator for ReplayStream<'a> {
 mod tests {
     use super::*;
     use sebs_sim::{Rng, SimRng};
+    use std::iter;
 
     fn arrival(secs: u64) -> Arrival {
         Arrival {
@@ -136,8 +143,10 @@ mod tests {
 
     /// Collects a stream, capped so one that never ends fails the test
     /// instead of growing without bound.
-    fn events(arrivals: &[Arrival], horizon: SimDuration) -> Vec<Event<'_>> {
-        let evs: Vec<Event<'_>> = ReplayStream::new(arrivals, horizon).take(10_000).collect();
+    fn events(arrivals: &[Arrival], horizon: SimDuration) -> Vec<Event> {
+        let evs: Vec<Event> = ReplayStream::new(arrivals.iter().copied(), horizon)
+            .take(10_000)
+            .collect();
         assert!(evs.len() < 10_000, "the stream never ended");
         evs
     }
@@ -148,7 +157,7 @@ mod tests {
         let arrivals = [arrival(10)];
         let evs = events(&arrivals, SimDuration::from_secs(640));
         assert_eq!(evs[0], Event::Sample(SimTime::from_secs(10)));
-        assert_eq!(evs[1], Event::Arrival(&arrivals[0]));
+        assert_eq!(evs[1], Event::Arrival(arrivals[0]));
     }
 
     #[test]
@@ -181,7 +190,7 @@ mod tests {
         assert_eq!(evs.last(), Some(&Event::End(SimTime::from_secs(90))));
         let ends = evs.iter().filter(|e| matches!(e, Event::End(_))).count();
         assert_eq!(ends, 1);
-        let mut stream = ReplayStream::new(&arrivals, horizon);
+        let mut stream = ReplayStream::new(arrivals.into_iter(), horizon);
         assert_eq!(stream.nth(evs.len()), None);
         assert_eq!(stream.next(), None, "the stream stays exhausted");
         assert!(evs.windows(2).all(|w| w[0].at() <= w[1].at()));
@@ -192,7 +201,7 @@ mod tests {
         let arrivals = [arrival(5), arrival(200)];
         let evs = events(&arrivals, SimDuration::from_secs(64));
         let n = evs.len();
-        assert_eq!(evs[n - 2], Event::Arrival(&arrivals[1]));
+        assert_eq!(evs[n - 2], Event::Arrival(arrivals[1]));
         assert_eq!(evs[n - 1], Event::End(SimTime::from_secs(64)));
         // Every sample still precedes the late arrival.
         let last_sample = evs
@@ -217,13 +226,13 @@ mod tests {
     fn short_horizon_gets_a_one_second_period() {
         for secs in [1, 10, 63] {
             let horizon = SimDuration::from_secs(secs);
-            let stream = ReplayStream::new(&[], horizon);
+            let stream = ReplayStream::new(iter::empty(), horizon);
             assert_eq!(stream.period(), SimDuration::from_secs(1));
             assert_eq!(events(&[], horizon).len(), secs as usize + 1);
         }
         let sub_period = events(&[], SimDuration::from_millis(500));
         assert_eq!(sub_period.len(), 1, "a sub-period horizon samples nothing");
-        let stream = ReplayStream::new(&[], SimDuration::from_secs(6400));
+        let stream = ReplayStream::new(iter::empty(), SimDuration::from_secs(6400));
         assert_eq!(stream.period(), SimDuration::from_secs(100));
     }
 
@@ -233,7 +242,7 @@ mod tests {
     #[test]
     fn matches_the_inline_sampling_loop() {
         fn inline(arrivals: &[Arrival], horizon: SimDuration) -> Vec<(u8, SimTime)> {
-            let every = ReplayStream::new(arrivals, horizon).period();
+            let every = ReplayStream::new(iter::empty(), horizon).period();
             let mut next = SimTime::ZERO.saturating_add(every);
             let end = SimTime::ZERO.saturating_add(horizon);
             let mut out = Vec::new();
@@ -254,7 +263,7 @@ mod tests {
         for case in 0..64u64 {
             let mut rng = SimRng::new(0x5EB5).child(case).stream("replay");
             let horizon = SimDuration::from_millis(rng.gen_range(0u64..400_000));
-            let period = ReplayStream::new(&[], horizon).period();
+            let period = ReplayStream::new(iter::empty(), horizon).period();
             let n = rng.gen_range(0usize..200);
             let mut arrivals: Vec<Arrival> = (0..n)
                 .map(|_| Arrival {

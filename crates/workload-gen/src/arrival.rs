@@ -8,7 +8,7 @@
 //! `fleet-arrival` stream, so adding or removing a function never
 //! perturbs any other function's schedule.
 
-use sebs_sim::rng::unit_f64;
+use sebs_sim::rng::{unit_f64, RngCore};
 use sebs_sim::{SimDuration, SimTime, StreamRng};
 
 /// Smooth daily modulation of an arrival rate.
@@ -114,98 +114,158 @@ impl ArrivalProcess {
     }
 
     /// Expands the process into concrete arrival instants in
-    /// `[0, horizon)`, in nondecreasing order.
+    /// `[0, horizon)`, in nondecreasing order: [`ArrivalProcess::times`],
+    /// collected.
     pub fn generate(
         &self,
         diurnal: Option<&DiurnalProfile>,
         horizon: SimDuration,
         rng: &mut StreamRng,
     ) -> Vec<SimTime> {
-        if let ArrivalProcess::Replay { times } = self {
-            let end = SimTime::ZERO.saturating_add(horizon);
-            let mut out: Vec<SimTime> = times.iter().copied().filter(|t| *t < end).collect();
-            out.sort_unstable();
-            return out;
-        }
-        self.thin(diurnal, horizon, rng)
+        self.times(diurnal, horizon, rng).collect()
     }
 
-    /// The peak instantaneous base rate (before diurnal modulation).
-    fn peak_base_rate(&self) -> f64 {
-        match self {
-            ArrivalProcess::Poisson { rate_per_sec } => *rate_per_sec,
-            ArrivalProcess::Mmpp {
-                rate_low,
-                rate_high,
-                ..
-            } => rate_low.max(*rate_high),
-            ArrivalProcess::Replay { .. } => 0.0,
-        }
-    }
-
-    fn thin(
+    /// The arrival instants in `[0, horizon)`, generated lazily in
+    /// nondecreasing order.
+    ///
+    /// Poisson and MMPP processes are thinned one candidate at a time,
+    /// drawing from `rng` only as the iterator advances, so a pending
+    /// schedule holds no more than the thinning state. `Replay` copies
+    /// the times inside the horizon and sorts them up front; it draws
+    /// nothing.
+    pub(crate) fn times<R: RngCore>(
         &self,
         diurnal: Option<&DiurnalProfile>,
         horizon: SimDuration,
-        rng: &mut StreamRng,
-    ) -> Vec<SimTime> {
-        let diurnal_peak = diurnal.map_or(1.0, DiurnalProfile::peak);
-        let peak = self.peak_base_rate() * diurnal_peak;
-        if !(peak > 0.0) || !peak.is_finite() {
-            return Vec::new();
-        }
-        let horizon_s = horizon.as_secs_f64();
-        let mut out = Vec::new();
-        let mut t = 0.0_f64;
-        // MMPP state trajectory, advanced lazily as candidates pass its
-        // current segment; the process starts in the quiet state.
-        let mut high = false;
-        let mut state_until = match self {
-            ArrivalProcess::Mmpp { dwell_low_s, .. } => exp_draw(rng, *dwell_low_s),
-            _ => f64::INFINITY,
-        };
-        loop {
-            t += exp_draw(rng, 1.0 / peak);
-            if t >= horizon_s {
-                return out;
+        mut rng: R,
+    ) -> ArrivalTimes<R> {
+        let (rate_low, rate_high, dwell_low_s, dwell_high_s) = match self {
+            ArrivalProcess::Replay { times } => {
+                let end = SimTime::ZERO.saturating_add(horizon);
+                let mut kept: Vec<SimTime> = times.iter().copied().filter(|t| *t < end).collect();
+                kept.sort_unstable();
+                return ArrivalTimes(Times::Replayed(kept.into_iter()));
             }
-            if let ArrivalProcess::Mmpp {
+            ArrivalProcess::Poisson { rate_per_sec } => {
+                (*rate_per_sec, *rate_per_sec, f64::INFINITY, f64::INFINITY)
+            }
+            ArrivalProcess::Mmpp {
+                rate_low,
+                rate_high,
                 dwell_low_s,
                 dwell_high_s,
-                ..
-            } = self
-            {
-                while state_until <= t {
-                    high = !high;
-                    let dwell = if high { *dwell_high_s } else { *dwell_low_s };
-                    state_until += exp_draw(rng, dwell);
-                }
-            }
-            let base = match self {
-                ArrivalProcess::Poisson { rate_per_sec } => *rate_per_sec,
-                ArrivalProcess::Mmpp {
-                    rate_low,
-                    rate_high,
-                    ..
-                } => {
-                    if high {
-                        *rate_high
-                    } else {
-                        *rate_low
-                    }
-                }
-                ArrivalProcess::Replay { .. } => 0.0,
-            };
-            let modulation = diurnal.map_or(1.0, |d| d.factor_at(t));
-            if unit_f64(rng) * peak < base * modulation {
-                out.push(SimTime::ZERO.saturating_add(SimDuration::from_secs_f64(t)));
-            }
+            } => (*rate_low, *rate_high, *dwell_low_s, *dwell_high_s),
+        };
+        let peak = rate_low.max(rate_high) * diurnal.map_or(1.0, DiurnalProfile::peak);
+        if !(peak.is_finite() && peak > 0.0) {
+            return ArrivalTimes(Times::Replayed(Vec::new().into_iter()));
+        }
+        // The MMPP state trajectory advances lazily as candidates pass its
+        // current segment; the process starts in the quiet state. A
+        // Poisson process never leaves it.
+        let state_until = match self {
+            ArrivalProcess::Mmpp { .. } => exp_draw(&mut rng, dwell_low_s),
+            _ => f64::INFINITY,
+        };
+        ArrivalTimes(Times::Thinned(Thinning {
+            rng,
+            diurnal: diurnal.cloned(),
+            peak,
+            mean_gap_s: 1.0 / peak,
+            horizon_s: horizon.as_secs_f64(),
+            t: 0.0,
+            rate_low,
+            rate_high,
+            dwell_low_s,
+            dwell_high_s,
+            high: false,
+            state_until,
+        }))
+    }
+}
+
+/// The arrival instants of one [`ArrivalProcess`], from
+/// [`ArrivalProcess::times`].
+#[derive(Debug)]
+pub(crate) struct ArrivalTimes<R>(Times<R>);
+
+#[derive(Debug)]
+enum Times<R> {
+    /// A Poisson or MMPP process under Lewis thinning.
+    Thinned(Thinning<R>),
+    /// Precomputed instants: a `Replay` list, or nothing at all.
+    Replayed(std::vec::IntoIter<SimTime>),
+}
+
+/// Lewis-thinning state of one Poisson or MMPP process.
+#[derive(Debug)]
+struct Thinning<R> {
+    rng: R,
+    diurnal: Option<DiurnalProfile>,
+    /// Candidate rate: the peak base rate times the diurnal peak.
+    peak: f64,
+    /// Mean gap between candidates, `1 / peak`.
+    mean_gap_s: f64,
+    horizon_s: f64,
+    /// The last candidate instant, in seconds.
+    t: f64,
+    /// Base rate in the quiet and bursty states (equal for Poisson).
+    rate_low: f64,
+    rate_high: f64,
+    /// Mean dwell time in the quiet and bursty states.
+    dwell_low_s: f64,
+    dwell_high_s: f64,
+    /// Whether the MMPP is in its bursty state.
+    high: bool,
+    /// When the current MMPP state ends (never, for Poisson).
+    state_until: f64,
+}
+
+impl<R: RngCore> Iterator for ArrivalTimes<R> {
+    type Item = SimTime;
+
+    fn next(&mut self) -> Option<SimTime> {
+        match &mut self.0 {
+            Times::Thinned(th) => th.next(),
+            Times::Replayed(times) => times.next(),
         }
     }
 }
 
+impl<R: RngCore> Thinning<R> {
+    fn next(&mut self) -> Option<SimTime> {
+        // A candidate already past the horizon ends the schedule; checking
+        // first keeps an exhausted iterator from drawing again.
+        while self.t < self.horizon_s {
+            self.t += exp_draw(&mut self.rng, self.mean_gap_s);
+            if self.t >= self.horizon_s {
+                return None;
+            }
+            while self.state_until <= self.t {
+                self.high = !self.high;
+                let dwell = if self.high {
+                    self.dwell_high_s
+                } else {
+                    self.dwell_low_s
+                };
+                self.state_until += exp_draw(&mut self.rng, dwell);
+            }
+            let base = if self.high {
+                self.rate_high
+            } else {
+                self.rate_low
+            };
+            let modulation = self.diurnal.as_ref().map_or(1.0, |d| d.factor_at(self.t));
+            if unit_f64(&mut self.rng) * self.peak < base * modulation {
+                return Some(SimTime::ZERO.saturating_add(SimDuration::from_secs_f64(self.t)));
+            }
+        }
+        None
+    }
+}
+
 /// One exponential variate with the given mean (inverse-CDF method).
-fn exp_draw(rng: &mut StreamRng, mean: f64) -> f64 {
+fn exp_draw<R: RngCore>(rng: &mut R, mean: f64) -> f64 {
     let u = unit_f64(rng);
     -(1.0 - u).ln() * mean
 }

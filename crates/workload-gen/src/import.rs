@@ -73,6 +73,9 @@ pub fn import_csv(
     parse_csv(&text, horizon).map(Some)
 }
 
+/// How far the default horizon reaches past the last arrival.
+const HORIZON_PAD: SimDuration = SimDuration::from_millis(1);
+
 /// Per-function accumulator while scanning rows.
 #[derive(Default)]
 struct FnAcc {
@@ -86,7 +89,8 @@ struct FnAcc {
 ///
 /// # Errors
 ///
-/// Returns [`ImportError::Parse`] on malformed rows or an empty trace.
+/// Returns [`ImportError::Parse`] on malformed rows, on an offset too
+/// large for a horizon to end after it, or on an empty trace.
 pub fn parse_csv(text: &str, horizon: Option<SimDuration>) -> Result<TraceModel, ImportError> {
     // BTreeMap keys the fleet by name, so function order (and therefore
     // fleet indices and RNG stream assignment) is deterministic no
@@ -131,8 +135,20 @@ pub fn parse_csv(text: &str, horizon: Option<SimDuration>) -> Result<TraceModel,
             });
         }
         saw_data = true;
-        let acc = by_fn.entry(name.to_string()).or_default();
         let at = SimTime::ZERO.saturating_add(SimDuration::from_millis_f64(offset_ms));
+        // The default horizon ends one millisecond after the last arrival;
+        // an offset that saturates `SimTime` leaves it no room, and the
+        // row would silently fall outside its own trace.
+        if at.as_nanos().checked_add(HORIZON_PAD.as_nanos()).is_none() {
+            return Err(ImportError::Parse {
+                line: lineno,
+                message: format!(
+                    "offset_ms `{}` is too large: the trace horizon must end after it",
+                    fields[1]
+                ),
+            });
+        }
+        let acc = by_fn.entry(name.to_string()).or_default();
         max_end = max_end.max(at);
         acc.times.push(at);
         if let Some(raw_dur) = fields.get(2).filter(|s| !s.is_empty()) {
@@ -166,7 +182,7 @@ pub fn parse_csv(text: &str, horizon: Option<SimDuration>) -> Result<TraceModel,
     let horizon = horizon.unwrap_or_else(|| {
         max_end
             .duration_since(SimTime::ZERO)
-            .saturating_add(SimDuration::from_millis(1))
+            .saturating_add(HORIZON_PAD)
     });
     let functions = by_fn
         .into_iter()
@@ -234,6 +250,24 @@ ping,3000
         assert_eq!(m.horizon, SimDuration::from_millis(3001));
         let trace = m.generate(1);
         assert_eq!(trace.len(), 5);
+    }
+
+    #[test]
+    fn an_offset_that_saturates_sim_time_is_rejected_with_its_line() {
+        let err = parse_csv("f,0\nf,1e300\n", None).unwrap_err();
+        match err {
+            ImportError::Parse { line, message } => {
+                assert_eq!(line, 2);
+                assert!(message.contains("1e300"), "{message}");
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        // The largest whole-millisecond offset that leaves the default
+        // horizon its millisecond still imports, and both rows replay.
+        let last_ms = (u64::MAX - HORIZON_PAD.as_nanos()) / 1_000_000;
+        let m = parse_csv(&format!("f,0\nf,{last_ms}\n"), None).unwrap();
+        assert_eq!(m.generate(1).len(), 2);
+        assert!(parse_csv(&format!("f,0\nf,{}\n", last_ms + 1), None).is_err());
     }
 
     #[test]

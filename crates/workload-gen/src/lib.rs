@@ -6,8 +6,9 @@
 //! MMPP, optionally modulated by a diurnal profile), Zipf-distributed
 //! popularity, and per-function duration/memory distributions reusing
 //! [`sebs_sim::Dist`]. A [`TraceModel`] expands deterministically into a
-//! time-ordered [`FleetTrace`] of arrivals that the `sebs fleet`
-//! experiment replays through the platform model.
+//! time-ordered stream of arrivals ([`TraceModel::arrivals`], which the
+//! `sebs fleet` experiment replays cell by cell through the platform
+//! model) or, collected, into a [`FleetTrace`].
 //!
 //! Two front doors:
 //!
@@ -34,6 +35,6 @@ pub mod workload;
 
 pub use arrival::{ArrivalProcess, DiurnalProfile};
 pub use import::{import_csv, parse_csv, ImportError};
-pub use model::{Arrival, FleetFunction, FleetTrace, FunctionProfile, TraceModel};
+pub use model::{Arrival, Arrivals, FleetFunction, FleetTrace, FunctionProfile, TraceModel};
 pub use synthetic::{zipf_weights, SyntheticSpec};
 pub use workload::SyntheticFunction;
