@@ -188,11 +188,11 @@ struct Options {
     fault_rates: Vec<f64>,
     functions: usize,
     invocations: u64,
-    horizon_secs: u64,
+    horizon: SimDuration,
     zipf: f64,
     cells: usize,
     import: Option<String>,
-    metrics_interval_secs: u64,
+    metrics_interval: SimDuration,
     out: Option<String>,
     report_format: ReportFormat,
     hosts: u32,
@@ -214,6 +214,25 @@ enum TraceFormat {
 enum MetricsFormat {
     Prom,
     Csv,
+}
+
+/// The `--horizon-secs` default. `sebs cluster` swaps in its sweep's own
+/// horizon while the flag is left at it.
+const DEFAULT_HORIZON: SimDuration = SimDuration::from_secs(7200);
+
+/// Parses a whole number of seconds (0 counts as 1) for `flag`, refusing
+/// counts the simulator clock cannot hold rather than letting them wrap.
+fn parse_secs(flag: &str, raw: &str) -> Result<SimDuration, String> {
+    let secs = raw
+        .parse::<u64>()
+        .map_err(|e| format!("bad {flag}: {e}"))?
+        .max(1);
+    SimDuration::checked_from_secs(secs).ok_or_else(|| {
+        format!(
+            "bad {flag}: {secs} s does not fit the simulator clock (at most {} s)",
+            u64::MAX / 1_000_000_000
+        )
+    })
 }
 
 impl Options {
@@ -243,11 +262,11 @@ impl Options {
             fault_rates: vec![0.0, 0.05, 0.25],
             functions: 1000,
             invocations: 100_000,
-            horizon_secs: 7200,
+            horizon: DEFAULT_HORIZON,
             zipf: 1.1,
             cells: 16,
             import: None,
-            metrics_interval_secs: 60,
+            metrics_interval: SimDuration::from_secs(60),
             out: None,
             report_format: ReportFormat::Markdown,
             hosts: 8,
@@ -380,10 +399,7 @@ impl Options {
                         .max(1)
                 }
                 "--horizon-secs" => {
-                    o.horizon_secs = value("--horizon-secs")?
-                        .parse::<u64>()
-                        .map_err(|e| format!("bad --horizon-secs: {e}"))?
-                        .max(1)
+                    o.horizon = parse_secs("--horizon-secs", &value("--horizon-secs")?)?
                 }
                 "--zipf" => {
                     o.zipf = value("--zipf")?
@@ -473,10 +489,10 @@ impl Options {
                         .ok_or_else(|| format!("unknown report format `{f}`"))?
                 }
                 "--metrics-interval-secs" => {
-                    o.metrics_interval_secs = value("--metrics-interval-secs")?
-                        .parse::<u64>()
-                        .map_err(|e| format!("bad --metrics-interval-secs: {e}"))?
-                        .max(1)
+                    o.metrics_interval = parse_secs(
+                        "--metrics-interval-secs",
+                        &value("--metrics-interval-secs")?,
+                    )?
                 }
                 "--metrics" => o.metrics = Some(value("--metrics")?),
                 "--metrics-format" => {
@@ -834,7 +850,7 @@ fn cluster_sweep(o: &Options) -> ClusterSweepConfig {
     sweep.contention = o.contention;
     sweep.functions = o.functions.min(200);
     sweep.target_invocations = o.invocations.min(50_000);
-    sweep.horizon = SimDuration::from_secs(o.horizon_secs);
+    sweep.horizon = o.horizon;
     sweep.zipf_exponent = o.zipf;
     sweep.schedulers = o.schedulers.clone();
     sweep.keepalives = o.keepalives.clone();
@@ -851,7 +867,7 @@ fn cluster_sweep(o: &Options) -> ClusterSweepConfig {
         sweep.functions = d.functions;
         sweep.target_invocations = d.target_invocations;
     }
-    if o.horizon_secs == 7200 {
+    if o.horizon == DEFAULT_HORIZON {
         sweep.horizon = ClusterSweepConfig::new(o.provider).horizon;
     }
     sweep
@@ -931,7 +947,7 @@ fn fleet_model(o: &Options) -> Result<(FleetConfig, TraceModel), String> {
         provider: o.provider,
         functions: o.functions,
         target_invocations: o.invocations,
-        horizon: SimDuration::from_secs(o.horizon_secs),
+        horizon: o.horizon,
         zipf_exponent: o.zipf,
         cells: o.cells,
     };
@@ -993,7 +1009,7 @@ fn cmd_fleet(o: &Options) -> Result<(), String> {
         .with_jobs(o.jobs)
         .with_trace(o.trace.is_some())
         .with_metrics(o.metrics.is_some())
-        .with_metrics_interval(SimDuration::from_secs(o.metrics_interval_secs));
+        .with_metrics_interval(o.metrics_interval);
     let (fleet, model) = fleet_model(o)?;
     let result = run_fleet(&config, &fleet, &model);
     for s in &result.series {
@@ -1053,7 +1069,7 @@ fn cmd_report(o: &Options) -> Result<(), String> {
         .with_seed(o.seed)
         .with_jobs(o.jobs)
         .with_metrics(true)
-        .with_metrics_interval(SimDuration::from_secs(o.metrics_interval_secs))
+        .with_metrics_interval(o.metrics_interval)
         .with_trace_sampling(SamplerSpec::fleet_default())
         .with_profile(true);
     let (fleet, model) = fleet_model(o)?;
@@ -1283,11 +1299,11 @@ mod tests {
         let o = parse(&[]).unwrap();
         assert_eq!(o.functions, 1000);
         assert_eq!(o.invocations, 100_000);
-        assert_eq!(o.horizon_secs, 7200);
+        assert_eq!(o.horizon, SimDuration::from_secs(7200));
         assert_eq!(o.zipf, 1.1);
         assert_eq!(o.cells, 16);
         assert!(o.import.is_none());
-        assert_eq!(o.metrics_interval_secs, 60);
+        assert_eq!(o.metrics_interval, SimDuration::from_secs(60));
         let o = parse(&[
             "--functions",
             "250",
@@ -1307,11 +1323,11 @@ mod tests {
         .unwrap();
         assert_eq!(o.functions, 250);
         assert_eq!(o.invocations, 5000);
-        assert_eq!(o.horizon_secs, 600);
+        assert_eq!(o.horizon, SimDuration::from_secs(600));
         assert_eq!(o.zipf, 0.9);
         assert_eq!(o.cells, 4);
         assert_eq!(o.import.as_deref(), Some("trace.csv"));
-        assert_eq!(o.metrics_interval_secs, 10);
+        assert_eq!(o.metrics_interval, SimDuration::from_secs(10));
         assert_eq!(parse(&["--cells", "0"]).unwrap().cells, 1, "clamped up");
         assert!(parse(&["--zipf", "-1"]).unwrap_err().contains("--zipf"));
         assert!(parse(&["--functions", "many"])
@@ -1346,6 +1362,41 @@ mod tests {
         );
         let (fleet, model) = import("ok", "a,0,100,128\nb,10,100,256\n").unwrap();
         assert_eq!((fleet.functions, model.functions.len()), (2, 2));
+    }
+
+    #[test]
+    fn durations_past_the_simulator_clock_are_rejected_naming_the_flag() {
+        let max = u64::MAX / 1_000_000_000;
+        for flag in ["--horizon-secs", "--metrics-interval-secs"] {
+            let err = parse(&[flag, &(max + 1).to_string()]).unwrap_err();
+            assert!(err.contains(flag) && err.contains("does not fit"), "{err}");
+            assert!(parse(&[flag, &max.to_string()]).is_ok(), "{flag} {max}");
+        }
+        // The largest accepted horizon and interval replay and render the
+        // report without overflowing the clock.
+        let out = std::env::temp_dir().join(format!("sebs-cli-max-{}.md", std::process::id()));
+        let max = max.to_string();
+        let o = parse(&[
+            "--horizon-secs",
+            &max,
+            "--metrics-interval-secs",
+            &max,
+            "--functions",
+            "3",
+            "--invocations",
+            "30",
+            "--cells",
+            "1",
+            "--jobs",
+            "1",
+            "--out",
+            out.to_str().unwrap(),
+        ])
+        .unwrap();
+        cmd_report(&o).unwrap();
+        let report = std::fs::read_to_string(&out).unwrap();
+        std::fs::remove_file(&out).unwrap();
+        assert!(report.contains("18446744073"), "the horizon is reported");
     }
 
     #[test]

@@ -11,7 +11,7 @@ use sebs_sim::rng::{Rng, StreamRng};
 use sebs_sim::{Phase, PhaseProfiler, SimDuration, SimRng, SimTime};
 use sebs_storage::{ObjectStorage, SimObjectStore, StorageOp};
 use sebs_telemetry::{MetricsChunk, MetricsHub, DEFAULT_SAMPLE_INTERVAL};
-use sebs_trace::{InvocationTrace, SamplerSpec, TraceSampler, TraceSpan};
+use sebs_trace::{Admission, InvocationTrace, SamplerSpec, TraceSampler, TraceSpan};
 use sebs_workloads::{InvocationCtx, IoEvent, IoKind, Payload, Workload, WorkloadError};
 
 use crate::billing::InvocationBill;
@@ -326,10 +326,15 @@ impl FaasPlatform {
     /// so enabling it cannot change any simulation result.
     pub fn enable_metrics(&mut self, interval: SimDuration) {
         let mut hub = MetricsHub::new(interval);
-        // Static platform facts, exported once as info-gauges: the
-        // concurrency ceiling the burst gauges are judged against, and the
-        // monitoring-fidelity caveats behind Figure 5b (Azure's memory
-        // numbers exist but are garbage; GCP reports none at all).
+        self.set_info_gauges(&mut hub);
+        self.metrics = Some(hub);
+    }
+
+    /// Static platform facts, exported once as info-gauges: the
+    /// concurrency ceiling the burst gauges are judged against, and the
+    /// monitoring-fidelity caveats behind Figure 5b (Azure's memory
+    /// numbers exist but are garbage; GCP reports none at all).
+    fn set_info_gauges(&self, hub: &mut MetricsHub) {
         let mon = crate::monitoring::MonitoringApi::for_kind(self.profile.kind);
         hub.gauge_set(
             "sebs_concurrency_limit",
@@ -346,7 +351,6 @@ impl FaasPlatform {
             &[],
             mon.memory_reliable() as u64 as f64,
         );
-        self.metrics = Some(hub);
     }
 
     /// Switches metrics collection on (at [`DEFAULT_SAMPLE_INTERVAL`]) or
@@ -362,14 +366,15 @@ impl FaasPlatform {
     /// Drains the metrics collected so far as one provider-tagged chunk,
     /// re-arming an empty hub with the same interval. Observed gauges and
     /// counters are refreshed as of the current instant first, so the
-    /// final snapshot reflects the platform state at drain time. Returns
-    /// `None` when collection is disabled.
+    /// final snapshot reflects the platform state at drain time. Sampling
+    /// resumes at the first interval boundary after the ones already
+    /// taken. Returns `None` when collection is disabled.
     pub fn take_metrics(&mut self) -> Option<MetricsChunk> {
         self.refresh_observed_metrics(self.now);
-        let hub = self.metrics.take()?;
-        let interval = hub.interval();
-        let chunk = hub.into_chunk(&self.profile.kind.to_string());
-        self.enable_metrics(interval);
+        let mut hub = self.metrics.take()?;
+        let chunk = hub.take_chunk(&self.profile.kind.to_string());
+        self.set_info_gauges(&mut hub);
+        self.metrics = Some(hub);
         Some(chunk)
     }
 
@@ -726,15 +731,13 @@ impl FaasPlatform {
         self.retry = driver;
         if self.tracing && chain.attempts.len() > 1 {
             let deployed = Rc::clone(&self.functions[id.0 as usize]);
-            let root = build_chain_span(&chain, &timeline, chain_start);
-            debug_assert_eq!(root.validate(), Ok(()), "chain span tree is well-formed");
             let failed = !chain.outcome.is_success();
-            self.push_trace(
-                &deployed.config.name,
-                deployed.effective_memory_mb,
-                root,
-                failed,
-            );
+            let name = &deployed.config.name;
+            if let Some(slot) = self.admit_trace(name, timeline.extent, failed) {
+                let root = build_chain_span(&chain, &timeline, chain_start);
+                debug_assert_eq!(root.validate(), Ok(()), "chain span tree is well-formed");
+                self.keep_trace(slot, name, deployed.effective_memory_mb, root);
+            }
         }
         chain
     }
@@ -1087,28 +1090,31 @@ impl FaasPlatform {
         record.outcome = outcome;
 
         if self.tracing {
-            let root = self.build_invocation_span(
-                &deployed,
-                &record,
-                SpanParts {
-                    rtt,
-                    trigger_overhead,
-                    req_transfer,
-                    cold_breakdown,
-                    sandbox_overhead,
-                    penalty,
-                    contention,
-                    io_scale,
-                    io_events: &io_events,
-                },
-            );
-            debug_assert_eq!(
-                root.validate(),
-                Ok(()),
-                "invocation span tree is well-formed"
-            );
             let failed = !record.outcome.is_success();
-            self.push_trace(&deployed.config.name, memory, root, failed);
+            let name = &deployed.config.name;
+            if let Some(slot) = self.admit_trace(name, record.client_time, failed) {
+                let root = self.build_invocation_span(
+                    &deployed,
+                    &record,
+                    SpanParts {
+                        rtt,
+                        trigger_overhead,
+                        req_transfer,
+                        cold_breakdown,
+                        sandbox_overhead,
+                        penalty,
+                        contention,
+                        io_scale,
+                        io_events: &io_events,
+                    },
+                );
+                debug_assert_eq!(
+                    root.validate(),
+                    Ok(()),
+                    "invocation span tree is well-formed"
+                );
+                self.keep_trace(slot, name, memory, root);
+            }
         }
 
         self.record_invocation_metrics(&deployed.config.name, &record, spurious);
@@ -1252,32 +1258,72 @@ impl FaasPlatform {
         if !self.tracing {
             return;
         }
+        let Some(slot) = self.admit_trace(benchmark, record.client_time, true) else {
+            return;
+        };
         let root = TraceSpan::new("invocation", record.submitted_at, record.client_time)
             .with_arg("benchmark", benchmark)
             .with_arg("provider", self.profile.kind.to_string())
             .with_arg("outcome", record.outcome.label())
             .with_arg("memory_mb", record.configured_memory_mb.to_string())
             .with_arg("concurrency", record.concurrency.to_string());
-        self.push_trace(benchmark, record.configured_memory_mb, root, true);
+        self.keep_trace(slot, benchmark, record.configured_memory_mb, root);
     }
 
-    // audit:allow(hot-path-allocation): trace records are pushed only when tracing is enabled
-    fn push_trace(&mut self, benchmark: &str, memory_mb: u32, root: TraceSpan, failed: bool) {
+    /// Numbers the next trace and decides whether it is kept: always
+    /// without a sampler, and only when the sampler admits it otherwise.
+    /// Admission needs only the root span's `duration`, so a caller builds
+    /// the span tree only for a trace that gets a slot.
+    // Out of line, so the tracing-off path of `invoke_one` carries no
+    // inlined copies of it (one per call site).
+    #[inline(never)]
+    fn admit_trace(
+        &mut self,
+        benchmark: &str,
+        duration: SimDuration,
+        failed: bool,
+    ) -> Option<TraceSlot> {
         let seq = self.trace_seq;
         self.trace_seq += 1;
+        let admission = match self.sampler.as_mut() {
+            Some(sampler) => Some(sampler.admit(benchmark, duration, seq, failed)?),
+            None => None,
+        };
+        Some(TraceSlot {
+            seq,
+            duration,
+            admission,
+        })
+    }
+
+    /// Stores the trace of a slot from [`FaasPlatform::admit_trace`].
+    // audit:allow(hot-path-allocation): trace records are built only when tracing is enabled
+    fn keep_trace(&mut self, slot: TraceSlot, benchmark: &str, memory_mb: u32, root: TraceSpan) {
+        debug_assert_eq!(
+            root.duration, slot.duration,
+            "admitted by the root's duration"
+        );
         let trace = InvocationTrace {
             provider: self.profile.kind.to_string(),
             benchmark: benchmark.to_string(),
             memory_mb,
             cell: None,
-            seq,
+            seq: slot.seq,
             root,
         };
-        match self.sampler.as_mut() {
-            Some(s) => s.offer(trace, failed),
-            None => self.traces.push(trace),
+        match (self.sampler.as_mut(), slot.admission) {
+            (Some(sampler), Some(admission)) => sampler.keep(admission, trace),
+            _ => self.traces.push(trace),
         }
     }
+}
+
+/// A numbered trace that [`FaasPlatform::admit_trace`] decided to keep,
+/// with the sampler's placement when one is installed.
+struct TraceSlot {
+    seq: u64,
+    duration: SimDuration,
+    admission: Option<Admission>,
 }
 
 /// The single box as an [`Attempt`] target: every attempt is one plain
@@ -1998,6 +2044,33 @@ mod tests {
             .iter()
             .all(|(k, _)| !k.name.starts_with("sebs_starts")
                 && !k.name.starts_with("sebs_invocations")));
+    }
+
+    #[test]
+    fn sampling_resumes_after_a_metrics_drain_instead_of_replaying_past_ticks() {
+        let mut p = aws();
+        p.enable_metrics(SimDuration::from_secs(10));
+        let (fid, wl, payload) = deploy_html(&mut p, 512);
+        p.invoke(fid, &wl, &payload);
+        p.advance(SimDuration::from_secs(100));
+        let first = p.take_metrics().expect("metrics enabled");
+        let stamps = |chunk: &MetricsChunk| {
+            let mut secs: Vec<u64> = chunk
+                .points
+                .iter()
+                .map(|pt| pt.at.as_millis() / 1000)
+                .collect();
+            secs.dedup();
+            secs
+        };
+        assert_eq!(stamps(&first), (1..=10).map(|i| i * 10).collect::<Vec<_>>());
+        // One more second crosses no boundary: 100 s was already sampled.
+        p.advance(SimDuration::from_secs(1));
+        let second = p.take_metrics().expect("metrics enabled");
+        assert_eq!(stamps(&second), Vec::<u64>::new());
+        p.advance(SimDuration::from_secs(9));
+        let third = p.take_metrics().expect("metrics enabled");
+        assert_eq!(stamps(&third), vec![110]);
     }
 
     #[test]

@@ -109,6 +109,16 @@ impl SimDuration {
         SimDuration(secs * 1_000_000_000)
     }
 
+    /// Creates a duration of `secs` seconds, or `None` when that many
+    /// nanoseconds overflow `u64` (beyond about 584 years) — for counts
+    /// that come from outside the program.
+    pub const fn checked_from_secs(secs: u64) -> Option<Self> {
+        match secs.checked_mul(1_000_000_000) {
+            Some(nanos) => Some(SimDuration(nanos)),
+            None => None,
+        }
+    }
+
     /// Creates a duration from a float number of seconds, truncating below
     /// one nanosecond and clamping negatives to zero.
     pub fn from_secs_f64(secs: f64) -> Self {
@@ -357,6 +367,17 @@ mod tests {
         // Zero quantum is the identity.
         let d = SimDuration::from_millis(37);
         assert_eq!(d.round_up_to(SimDuration::ZERO), d);
+    }
+
+    #[test]
+    fn checked_from_secs_stops_at_the_largest_whole_second() {
+        let max = u64::MAX / 1_000_000_000;
+        assert_eq!(
+            SimDuration::checked_from_secs(max),
+            Some(SimDuration::from_secs(max))
+        );
+        assert_eq!(SimDuration::checked_from_secs(max + 1), None);
+        assert_eq!(SimDuration::checked_from_secs(0), Some(SimDuration::ZERO));
     }
 
     #[test]

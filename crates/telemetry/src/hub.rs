@@ -8,6 +8,8 @@
 //! stream is ever touched, so enabling a hub cannot change any simulation
 //! result — the same invariant the trace layer established.
 
+use std::sync::Arc;
+
 use sebs_sim::{SimDuration, SimTime};
 
 use crate::registry::{MetricsRegistry, SeriesKey};
@@ -21,8 +23,9 @@ pub const DEFAULT_SAMPLE_INTERVAL: SimDuration = SimDuration::from_secs(1);
 pub struct MetricPoint {
     /// Sample instant on the simulator clock.
     pub at: SimTime,
-    /// The sampled series.
-    pub series: SeriesKey,
+    /// The sampled series, shared with the registry and with every other
+    /// point of the same series.
+    pub series: Arc<SeriesKey>,
     /// Counter or gauge value at `at`.
     pub value: f64,
 }
@@ -55,9 +58,10 @@ impl MetricsHub {
 
     /// The next unsampled interval boundary, when it is at or before
     /// `upto`. Boundaries start at `interval` (nothing fires at t = 0; the
-    /// initial state is all-zero anyway).
+    /// initial state is all-zero anyway), and one past the end of the
+    /// simulator clock never comes.
     pub fn next_due(&self, upto: SimTime) -> Option<SimTime> {
-        let due = SimTime::ZERO + self.interval * (self.ticks + 1);
+        let due = SimTime::from_nanos(self.interval.as_nanos().checked_mul(self.ticks + 1)?);
         (due <= upto).then_some(due)
     }
 
@@ -65,17 +69,10 @@ impl MetricsHub {
     /// advances the sampling cursor. Histograms are final-snapshot-only
     /// (they already aggregate over time) and are not sampled per tick.
     pub fn sample_at(&mut self, t: SimTime) {
-        for (k, v) in self.registry.counters() {
+        for (k, v) in self.registry.sampled_series() {
             self.points.push(MetricPoint {
                 at: t,
-                series: k.clone(),
-                value: v,
-            });
-        }
-        for (k, v) in self.registry.gauges() {
-            self.points.push(MetricPoint {
-                at: t,
-                series: k.clone(),
+                series: Arc::clone(k),
                 value: v,
             });
         }
@@ -110,6 +107,18 @@ impl MetricsHub {
     /// The sampled time series collected so far.
     pub fn points(&self) -> &[MetricPoint] {
         &self.points
+    }
+
+    /// Drains everything recorded so far into a chunk, like
+    /// [`MetricsHub::into_chunk`], and leaves an empty hub that keeps the
+    /// interval and the sampling cursor: the next sample is the next
+    /// boundary after the last one taken, never a boundary already past.
+    pub fn take_chunk(&mut self, provider: &str) -> MetricsChunk {
+        let rest = MetricsHub {
+            ticks: self.ticks,
+            ..MetricsHub::new(self.interval)
+        };
+        std::mem::replace(self, rest).into_chunk(provider)
     }
 
     /// Consumes the hub into an exportable chunk tagged with the owning
@@ -172,6 +181,37 @@ mod tests {
         assert_eq!(names, vec!["c", "g"], "histograms are snapshot-only");
         assert_eq!(hub.points()[0].value, 2.0);
         assert_eq!(hub.points()[1].value, 7.0);
+    }
+
+    #[test]
+    fn no_boundary_fires_past_the_end_of_the_clock() {
+        let interval = SimDuration::from_secs(10_000_000_000);
+        let mut hub = MetricsHub::new(interval);
+        let due = hub.next_due(SimTime::MAX);
+        assert_eq!(due, Some(SimTime::ZERO + interval));
+        hub.sample_at(SimTime::ZERO + interval);
+        assert_eq!(hub.next_due(SimTime::MAX), None, "2 × 10¹⁰ s overflows");
+    }
+
+    #[test]
+    fn take_chunk_keeps_the_sampling_cursor() {
+        let mut hub = MetricsHub::new(SimDuration::from_secs(10));
+        hub.gauge_set("g", &[], 1.0);
+        while let Some(t) = hub.next_due(SimTime::from_secs(100)) {
+            hub.sample_at(t);
+        }
+        let first = hub.take_chunk("aws");
+        assert_eq!(first.points.len(), 10);
+        assert_eq!(hub.points().len(), 0, "the points left with the chunk");
+        assert!(
+            hub.registry().is_empty(),
+            "the registry left with the chunk"
+        );
+        assert_eq!(hub.next_due(SimTime::from_secs(101)), None);
+        assert_eq!(
+            hub.next_due(SimTime::from_secs(110)),
+            Some(SimTime::from_secs(110))
+        );
     }
 
     #[test]

@@ -3,9 +3,12 @@
 //!
 //! Everything lives in `BTreeMap`s so iteration order — and therefore
 //! every export — is a pure function of the recorded data, never of
-//! insertion order or hashing.
+//! insertion order or hashing. Each counter and gauge key is allocated
+//! once, when its series is created, and shared behind an `Arc` with
+//! every sampled [`crate::MetricPoint`] of that series.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::histogram::SimHistogram;
 
@@ -45,8 +48,8 @@ impl SeriesKey {
 /// The three metric families of one collection scope.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
-    counters: BTreeMap<SeriesKey, f64>,
-    gauges: BTreeMap<SeriesKey, f64>,
+    counters: BTreeMap<Arc<SeriesKey>, f64>,
+    gauges: BTreeMap<Arc<SeriesKey>, f64>,
     histograms: BTreeMap<SeriesKey, SimHistogram>,
     // Reusable lookup key: record calls fill it in place (keeping every
     // String's capacity) and only clone it when a series is first created,
@@ -97,7 +100,7 @@ impl MetricsRegistry {
         match self.counters.get_mut(&self.scratch) {
             Some(slot) => *slot += v,
             None => {
-                self.counters.insert(self.scratch.clone(), v);
+                self.counters.insert(Arc::new(self.scratch.clone()), v);
             }
         }
     }
@@ -109,7 +112,7 @@ impl MetricsRegistry {
         match self.counters.get_mut(&self.scratch) {
             Some(slot) => *slot = v,
             None => {
-                self.counters.insert(self.scratch.clone(), v);
+                self.counters.insert(Arc::new(self.scratch.clone()), v);
             }
         }
     }
@@ -120,7 +123,7 @@ impl MetricsRegistry {
         match self.gauges.get_mut(&self.scratch) {
             Some(slot) => *slot = v,
             None => {
-                self.gauges.insert(self.scratch.clone(), v);
+                self.gauges.insert(Arc::new(self.scratch.clone()), v);
             }
         }
     }
@@ -141,17 +144,26 @@ impl MetricsRegistry {
 
     /// Counters in key order.
     pub fn counters(&self) -> impl Iterator<Item = (&SeriesKey, f64)> {
-        self.counters.iter().map(|(k, &v)| (k, v))
+        self.counters.iter().map(|(k, &v)| (&**k, v))
     }
 
     /// Gauges in key order.
     pub fn gauges(&self) -> impl Iterator<Item = (&SeriesKey, f64)> {
-        self.gauges.iter().map(|(k, &v)| (k, v))
+        self.gauges.iter().map(|(k, &v)| (&**k, v))
     }
 
     /// Histograms in key order.
     pub fn histograms(&self) -> impl Iterator<Item = (&SeriesKey, &SimHistogram)> {
         self.histograms.iter()
+    }
+
+    /// Counters, then gauges, each in key order, with their shared keys:
+    /// the series the hub samples every tick.
+    pub(crate) fn sampled_series(&self) -> impl Iterator<Item = (&Arc<SeriesKey>, f64)> {
+        self.counters
+            .iter()
+            .chain(&self.gauges)
+            .map(|(k, &v)| (k, v))
     }
 
     /// `true` when nothing has been recorded.
@@ -169,8 +181,14 @@ impl MetricsRegistry {
         Vec<(SeriesKey, SimHistogram)>,
     ) {
         (
-            self.counters.into_iter().collect(),
-            self.gauges.into_iter().collect(),
+            self.counters
+                .into_iter()
+                .map(|(k, v)| (Arc::unwrap_or_clone(k), v))
+                .collect(),
+            self.gauges
+                .into_iter()
+                .map(|(k, v)| (Arc::unwrap_or_clone(k), v))
+                .collect(),
             self.histograms.into_iter().collect(),
         )
     }

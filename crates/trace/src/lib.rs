@@ -33,6 +33,6 @@ pub mod span;
 
 pub use breakdown::breakdown_table;
 pub use chrome::chrome_trace_json;
-pub use sampler::{SamplerSpec, TraceSampler};
+pub use sampler::{Admission, SamplerSpec, TraceSampler};
 pub use sink::{InvocationTrace, TraceSink};
 pub use span::TraceSpan;

@@ -22,10 +22,9 @@
 //! every `--jobs` value. Tie-breaks use `(duration nanos, seq)` integer
 //! ordering — no float comparisons.
 
-use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
-use sebs_sim::{fnv1a, Rng, SimRng, StreamRng};
+use sebs_sim::{fnv1a, Rng, SimDuration, SimRng, StreamRng};
 
 use crate::sink::InvocationTrace;
 
@@ -67,9 +66,28 @@ struct FnReservoir {
     slots: Vec<InvocationTrace>,
 }
 
+/// Where [`TraceSampler::admit`] decided to keep a trace. Build the trace
+/// and hand both to [`TraceSampler::keep`] before the next admission.
+#[derive(Debug)]
+#[must_use = "an admitted trace must be handed to `TraceSampler::keep`"]
+pub struct Admission {
+    seq: u64,
+    /// Joins the error exemplars.
+    error: bool,
+    /// Joins the slowest-K under key `(nanos, seq)`.
+    slowest_nanos: Option<u64>,
+    /// Fills (index == len) or replaces this slot of its function's
+    /// reservoir.
+    reservoir_slot: Option<usize>,
+}
+
 /// Bounded deterministic trace keeper. See the module docs for the
 /// contract; [`TraceSampler::drain`] returns the kept traces deduplicated
 /// and in sequence order.
+///
+/// A trace is admitted from its coordinates alone ([`TraceSampler::admit`]),
+/// so a caller builds the span tree only for the few traces the sampler
+/// keeps; [`TraceSampler::offer`] is the same path for a built trace.
 #[derive(Debug)]
 pub struct TraceSampler {
     spec: SamplerSpec,
@@ -125,66 +143,115 @@ impl TraceSampler {
             + self.errors.len()
     }
 
-    /// Offers one trace; the sampler decides what to keep. `failed`
+    /// Offers one built trace; the sampler decides what to keep. `failed`
     /// marks error exemplars (the caller knows the outcome — the sampler
     /// does not parse span args).
     pub fn offer(&mut self, trace: InvocationTrace, failed: bool) {
+        if let Some(admission) =
+            self.admit(&trace.benchmark, trace.root.duration, trace.seq, failed)
+        {
+            self.keep(admission, trace);
+        }
+    }
+
+    /// Decides whether the trace of invocation `seq` of `function`, with
+    /// root-span `duration`, is kept, before anything is built. Counts it
+    /// as offered and makes the reservoir draw either way, so the kept
+    /// set is the same as offering every built trace. `None` means the
+    /// trace is kept nowhere and need not be built.
+    pub fn admit(
+        &mut self,
+        function: &str,
+        duration: SimDuration,
+        seq: u64,
+        failed: bool,
+    ) -> Option<Admission> {
         self.seen += 1;
         if failed {
             self.errors_seen += 1;
-            if self.errors.len() < self.spec.error_k {
-                self.errors.push(trace.clone());
-            }
         }
-        self.offer_slowest(&trace);
-        self.offer_reservoir(trace);
+        let admission = Admission {
+            seq,
+            error: failed && self.errors.len() < self.spec.error_k,
+            slowest_nanos: self.admit_slowest(duration.as_nanos(), seq),
+            reservoir_slot: self.admit_reservoir(function),
+        };
+        let kept = admission.error
+            || admission.slowest_nanos.is_some()
+            || admission.reservoir_slot.is_some();
+        kept.then_some(admission)
     }
 
-    /// Keeps the K slowest traces by `(root duration, seq)`.
-    fn offer_slowest(&mut self, trace: &InvocationTrace) {
-        if self.spec.slowest_k == 0 {
-            return;
+    /// Stores a trace where [`TraceSampler::admit`] placed it. `trace` must
+    /// be the admitted invocation's, built before any other admission.
+    pub fn keep(&mut self, admission: Admission, trace: InvocationTrace) {
+        debug_assert_eq!(admission.seq, trace.seq, "kept trace is the admitted one");
+        if admission.error {
+            self.errors.push(trace.clone());
         }
-        let key = (trace.root.duration.as_nanos(), trace.seq);
-        if self.slowest.len() >= self.spec.slowest_k {
-            // The head is the current minimum; a non-larger candidate
-            // cannot displace anything.
-            let head = (self.slowest[0].0, self.slowest[0].1);
-            if key <= head {
-                return;
+        if let Some(nanos) = admission.slowest_nanos {
+            if self.slowest.len() >= self.spec.slowest_k {
+                self.slowest.remove(0);
             }
-            self.slowest.remove(0);
+            let key = (nanos, admission.seq);
+            let at = self.slowest.partition_point(|&(d, s, _)| (d, s) < key);
+            self.slowest
+                .insert(at, (nanos, admission.seq, trace.clone()));
         }
-        let at = self.slowest.partition_point(|&(d, s, _)| (d, s) < key);
-        self.slowest.insert(at, (key.0, key.1, trace.clone()));
+        if let Some(slot) = admission.reservoir_slot {
+            if let Some(res) = self.reservoirs.get_mut(&trace.benchmark) {
+                match res.slots.get_mut(slot) {
+                    Some(kept) => *kept = trace,
+                    None => res.slots.push(trace),
+                }
+            }
+        }
+    }
+
+    /// Whether the `(nanos, seq)` key joins the K slowest: always while
+    /// fewer than K are held, otherwise only above the head (the current
+    /// minimum), which [`TraceSampler::keep`] then evicts.
+    fn admit_slowest(&self, nanos: u64, seq: u64) -> Option<u64> {
+        if self.spec.slowest_k == 0 {
+            return None;
+        }
+        match self.slowest.first() {
+            Some(&(d, s, _))
+                if self.slowest.len() >= self.spec.slowest_k && (nanos, seq) <= (d, s) =>
+            {
+                None
+            }
+            _ => Some(nanos),
+        }
     }
 
     /// Feeds the per-function reservoir (Algorithm R): the first
     /// `reservoir_per_fn` invocations of a function fill the slots; the
     /// `n`-th (n > k) replaces a uniform slot with probability `k / n`.
-    fn offer_reservoir(&mut self, trace: InvocationTrace) {
+    /// Returns the slot the trace takes.
+    fn admit_reservoir(&mut self, function: &str) -> Option<usize> {
         let k = self.spec.reservoir_per_fn;
         if k == 0 {
-            return;
+            return None;
         }
-        let salt = fnv1a(trace.benchmark.as_bytes());
-        let res = match self.reservoirs.entry(trace.benchmark.clone()) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(v) => v.insert(FnReservoir {
-                rng: self.root.stream_indexed("trace-reservoir", salt),
-                seen: 0,
-                slots: Vec::with_capacity(k),
-            }),
-        };
+        if !self.reservoirs.contains_key(function) {
+            let salt = fnv1a(function.as_bytes());
+            self.reservoirs.insert(
+                function.to_string(),
+                FnReservoir {
+                    rng: self.root.stream_indexed("trace-reservoir", salt),
+                    seen: 0,
+                    slots: Vec::with_capacity(k),
+                },
+            );
+        }
+        let res = self.reservoirs.get_mut(function)?;
         res.seen += 1;
         if res.slots.len() < k {
-            res.slots.push(trace);
-            return;
+            return Some(res.slots.len());
         }
         let j = res.rng.gen_range(0..res.seen);
-        if (j as usize) < k {
-            res.slots[j as usize] = trace;
-        }
+        ((j as usize) < k).then_some(j as usize)
     }
 
     /// Takes the kept traces, deduplicated by sequence number and sorted
@@ -226,6 +293,166 @@ mod tests {
                 SimTime::ZERO,
                 SimDuration::from_millis(millis),
             ),
+        }
+    }
+
+    /// The eager sampler that admission replaced, copied as it was: every
+    /// trace is built and offered, and the sampler clones what it keeps.
+    /// `offer` also reports whether the trace was kept anywhere.
+    struct EagerSampler {
+        spec: SamplerSpec,
+        root: SimRng,
+        reservoirs: BTreeMap<String, FnReservoir>,
+        slowest: Vec<(u64, u64, InvocationTrace)>,
+        errors: Vec<InvocationTrace>,
+        seen: u64,
+        errors_seen: u64,
+    }
+
+    impl EagerSampler {
+        fn new(spec: SamplerSpec, seed: u64) -> EagerSampler {
+            EagerSampler {
+                spec,
+                root: SimRng::new(seed),
+                reservoirs: BTreeMap::new(),
+                slowest: Vec::new(),
+                errors: Vec::new(),
+                seen: 0,
+                errors_seen: 0,
+            }
+        }
+
+        fn offer(&mut self, trace: InvocationTrace, failed: bool) -> bool {
+            self.seen += 1;
+            let mut kept = false;
+            if failed {
+                self.errors_seen += 1;
+                if self.errors.len() < self.spec.error_k {
+                    self.errors.push(trace.clone());
+                    kept = true;
+                }
+            }
+            kept |= self.offer_slowest(&trace);
+            kept |= self.offer_reservoir(trace);
+            kept
+        }
+
+        fn offer_slowest(&mut self, trace: &InvocationTrace) -> bool {
+            if self.spec.slowest_k == 0 {
+                return false;
+            }
+            let key = (trace.root.duration.as_nanos(), trace.seq);
+            if self.slowest.len() >= self.spec.slowest_k {
+                let head = (self.slowest[0].0, self.slowest[0].1);
+                if key <= head {
+                    return false;
+                }
+                self.slowest.remove(0);
+            }
+            let at = self.slowest.partition_point(|&(d, s, _)| (d, s) < key);
+            self.slowest.insert(at, (key.0, key.1, trace.clone()));
+            true
+        }
+
+        fn offer_reservoir(&mut self, trace: InvocationTrace) -> bool {
+            let k = self.spec.reservoir_per_fn;
+            if k == 0 {
+                return false;
+            }
+            let salt = fnv1a(trace.benchmark.as_bytes());
+            let res = self
+                .reservoirs
+                .entry(trace.benchmark.clone())
+                .or_insert_with(|| FnReservoir {
+                    rng: self.root.stream_indexed("trace-reservoir", salt),
+                    seen: 0,
+                    slots: Vec::with_capacity(k),
+                });
+            res.seen += 1;
+            if res.slots.len() < k {
+                res.slots.push(trace);
+                return true;
+            }
+            let j = res.rng.gen_range(0..res.seen);
+            if (j as usize) < k {
+                res.slots[j as usize] = trace;
+                return true;
+            }
+            false
+        }
+
+        fn drain(&mut self) -> Vec<InvocationTrace> {
+            let mut by_seq: BTreeMap<u64, InvocationTrace> = BTreeMap::new();
+            for t in self.errors.drain(..) {
+                by_seq.insert(t.seq, t);
+            }
+            for (_, _, t) in self.slowest.drain(..) {
+                by_seq.insert(t.seq, t);
+            }
+            for r in self.reservoirs.values_mut() {
+                for t in r.slots.drain(..) {
+                    by_seq.insert(t.seq, t);
+                }
+            }
+            by_seq.into_values().collect()
+        }
+    }
+
+    #[test]
+    fn admission_keeps_what_the_eager_sampler_keeps() {
+        let all_on = SamplerSpec {
+            reservoir_per_fn: 3,
+            slowest_k: 4,
+            error_k: 3,
+        };
+        let names = ["alpha", "beta", "gamma", "delta", "epsilon"];
+        for case in 0..64u64 {
+            // Every fourth case switches one knob off, each in turn.
+            let spec = match case % 4 {
+                1 => SamplerSpec {
+                    reservoir_per_fn: 0,
+                    ..all_on
+                },
+                2 => SamplerSpec {
+                    slowest_k: 0,
+                    ..all_on
+                },
+                3 => SamplerSpec {
+                    error_k: 0,
+                    ..all_on
+                },
+                _ => all_on,
+            };
+            let mut rng = SimRng::new(case).stream("offer-sequence");
+            let functions = &names[..2 + (case as usize % 4)];
+            let n = rng.gen_range(200..600u64);
+            let drain_at = rng.gen_range(0..n);
+            let mut eager = EagerSampler::new(spec, case);
+            let mut lazy = TraceSampler::new(spec, case);
+            for seq in 0..n {
+                let f = functions[rng.gen_range(0..functions.len())];
+                // Twelve distinct durations: once the slowest-K fills, most
+                // offers tie with its head and are ordered by `seq`.
+                let t = trace(f, seq, rng.gen_range(0..12u64) * 10);
+                let failed = rng.gen::<f64>() < 0.05;
+                let kept = eager.offer(t.clone(), failed);
+                match lazy.admit(f, t.root.duration, seq, failed) {
+                    Some(admission) => {
+                        assert!(
+                            kept,
+                            "case {case}: admitted seq {seq} the reference dropped"
+                        );
+                        lazy.keep(admission, t);
+                    }
+                    None => assert!(!kept, "case {case}: dropped seq {seq} the reference kept"),
+                }
+                if seq == drain_at {
+                    assert_eq!(lazy.drain(), eager.drain(), "case {case}: midway drain");
+                }
+            }
+            assert_eq!(lazy.seen(), eager.seen, "case {case}");
+            assert_eq!(lazy.errors_seen(), eager.errors_seen, "case {case}");
+            assert_eq!(lazy.drain(), eager.drain(), "case {case}: final drain");
         }
     }
 
