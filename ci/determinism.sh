@@ -9,13 +9,36 @@
 # Usage:
 #   ci/determinism.sh run <grid|chaos|fleet|cluster|report> <jobs>   # exports into out-<jobs>/
 #   ci/determinism.sh diff <jobs-a> <jobs-b>          # byte-compare the trees
+#   ci/determinism.sh digest <scenario> <jobs>        # sha256 of every export in out-<jobs>/
+#   ci/determinism.sh check <scenario> <jobs>         # compare those with the manifest
+#   ci/determinism.sh manifest                        # rewrite the manifest
 #
 # The binary is expected at target/release/sebs. `diff` compares every
 # file produced by `run`; stdout captures have output paths stripped
 # first, since the per-jobs directory name is the one intended difference.
+# `digest` hashes the same bytes `diff` compares.
+#
+# ci/determinism.sha256 pins every scenario's exports at --jobs 1, so a
+# change that moves any result fails `check` at every worker count. A
+# change that alters an export on purpose reruns `manifest` (which runs
+# all five scenarios at --jobs 1) and says why in its description.
 set -euo pipefail
 
 SEBS=${SEBS:-target/release/sebs}
+MANIFEST="$(dirname "$0")/determinism.sha256"
+
+# One `<sha256>  <scenario>/<file>` line per export in out-<jobs>/.
+digest() {
+  local scenario=$1 dir="out-$2" f sum
+  for f in "$dir"/*; do
+    if [ "$(basename "$f")" = "stdout.txt" ]; then
+      sum=$(sed 's/out-[0-9]*\///' "$f" | sha256sum)
+    else
+      sum=$(sha256sum < "$f")
+    fi
+    echo "${sum%% *}  $scenario/$(basename "$f")"
+  done | LC_ALL=C sort -k 2
+}
 
 run_grid() {
   local out=$1 jobs=$2
@@ -91,6 +114,7 @@ case "$cmd" in
   run)
     scenario=${2:?scenario}; jobs=${3:?jobs}
     out="out-$jobs"
+    rm -rf "$out"
     mkdir -p "$out"
     case "$scenario" in
       grid)    run_grid    "$out" "$jobs" ;;
@@ -123,6 +147,25 @@ case "$cmd" in
       echo "byte-identical: $a == $b ($(ls "$a" | wc -l) files)"
     fi
     exit "$status"
+    ;;
+  digest)
+    digest "${2:?scenario}" "${3:?jobs}"
+    ;;
+  check)
+    scenario=${2:?scenario}; jobs=${3:?jobs}
+    if diff <(grep " $scenario/" "$MANIFEST") <(digest "$scenario" "$jobs"); then
+      echo "matches $MANIFEST: $scenario at --jobs $jobs"
+    else
+      echo "DIFFERS from $MANIFEST: $scenario at --jobs $jobs" >&2
+      exit 1
+    fi
+    ;;
+  manifest)
+    for scenario in grid chaos fleet cluster report; do
+      "$0" run "$scenario" 1
+      digest "$scenario" 1
+    done > "$MANIFEST.new"
+    mv "$MANIFEST.new" "$MANIFEST"
     ;;
   *)
     echo "unknown command: $cmd" >&2; exit 2 ;;

@@ -265,6 +265,12 @@ impl KeepAliveKind {
             if secs == 0 {
                 return Err("fixed keep-alive must be >= 1 s".to_string());
             }
+            if SimDuration::checked_from_secs(secs).is_none() {
+                return Err(format!(
+                    "fixed keep-alive {secs} s does not fit the simulator clock (at most {} s)",
+                    u64::MAX / 1_000_000_000
+                ));
+            }
             return Ok(KeepAliveKind::Fixed(secs));
         }
         Err(format!(
@@ -399,5 +405,18 @@ mod tests {
         assert!(KeepAliveKind::parse("fixed-0").is_err());
         let err = KeepAliveKind::parse("frobnicate").unwrap_err();
         assert!(err.contains("provider"), "{err}");
+    }
+
+    #[test]
+    fn fixed_timeouts_past_the_simulator_clock_are_rejected() {
+        let max = u64::MAX / 1_000_000_000;
+        let kind = KeepAliveKind::parse(&format!("fixed-{max}")).unwrap();
+        assert_eq!(kind, KeepAliveKind::Fixed(max));
+        assert_eq!(kind.build().label(), format!("fixed-{max}s"));
+        let err = KeepAliveKind::parse(&format!("fixed-{}", max + 1)).unwrap_err();
+        assert!(
+            err.contains("fixed keep-alive") && err.contains("does not fit"),
+            "{err}"
+        );
     }
 }

@@ -11,9 +11,7 @@
 //!
 //! Egress pricing (§6.3 Q4): AWS HTTP APIs charge per request metered in
 //! 512 kB increments; GCP charges $0.12/GB and Azure $0.087/GB of data
-//! out — the same per-GB rates as the providers' object stores, so these
-//! constants deliberately mirror `sebs_storage::pricing::StoragePricing`
-//! (`gcp_storage` / `azure_blob`); change them in both places.
+//! out — the same per-GB rates as the providers' object stores.
 
 use sebs_sim::SimDuration;
 

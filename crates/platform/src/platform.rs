@@ -10,7 +10,7 @@ use sebs_resilience::{FaultInjector, FaultPlan, FaultyStore, InjectionCounts, Re
 use sebs_sim::rng::{Rng, StreamRng};
 use sebs_sim::{Phase, PhaseProfiler, SimDuration, SimRng, SimTime};
 use sebs_storage::{ObjectStorage, SimObjectStore, StorageOp};
-use sebs_telemetry::{MetricsChunk, MetricsHub, DEFAULT_SAMPLE_INTERVAL};
+use sebs_telemetry::{MetricsChunk, MetricsHub};
 use sebs_trace::{Admission, InvocationTrace, SamplerSpec, TraceSampler, TraceSpan};
 use sebs_workloads::{InvocationCtx, IoEvent, IoKind, Payload, Workload, WorkloadError};
 
@@ -276,11 +276,6 @@ impl FaasPlatform {
         self.tracing = enabled;
     }
 
-    /// Whether trace collection is enabled.
-    pub fn tracing_enabled(&self) -> bool {
-        self.tracing
-    }
-
     /// Switches tracing on with a bounded [`TraceSampler`] instead of
     /// full collection: memory stays fixed no matter how many invocations
     /// run, and [`FaasPlatform::take_traces`] returns the sampled set.
@@ -290,11 +285,6 @@ impl FaasPlatform {
     pub fn enable_trace_sampling(&mut self, spec: SamplerSpec) {
         self.tracing = true;
         self.sampler = Some(TraceSampler::new(spec, self.seed));
-    }
-
-    /// Whether bounded trace sampling is active.
-    pub fn sampling_enabled(&self) -> bool {
-        self.sampler.is_some()
     }
 
     /// Drains the traces collected so far, in invocation order. With a
@@ -351,16 +341,6 @@ impl FaasPlatform {
             &[],
             mon.memory_reliable() as u64 as f64,
         );
-    }
-
-    /// Switches metrics collection on (at [`DEFAULT_SAMPLE_INTERVAL`]) or
-    /// off, mirroring [`FaasPlatform::set_tracing`].
-    pub fn set_metrics(&mut self, enabled: bool) {
-        if enabled {
-            self.enable_metrics(DEFAULT_SAMPLE_INTERVAL);
-        } else {
-            self.metrics = None;
-        }
     }
 
     /// Drains the metrics collected so far as one provider-tagged chunk,
@@ -1445,6 +1425,7 @@ fn with_cache_param(payload: &Payload, warm: bool) -> Cow<'_, Payload> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sebs_telemetry::DEFAULT_SAMPLE_INTERVAL;
     use sebs_workloads::templating::DynamicHtml;
     use sebs_workloads::uploader::Uploader;
     use sebs_workloads::{Language, Scale};
@@ -1852,7 +1833,9 @@ mod tests {
     fn metrics_never_change_results() {
         let run = |metrics: bool| {
             let mut p = FaasPlatform::new(ProviderProfile::gcp(), 77);
-            p.set_metrics(metrics);
+            if metrics {
+                p.enable_metrics(DEFAULT_SAMPLE_INTERVAL);
+            }
             let wl = Uploader::new(Language::Python);
             let fid = p
                 .deploy(FunctionConfig::new("uploader", Language::Python, 512))
@@ -1907,18 +1890,16 @@ mod tests {
         };
         let mut p = aws();
         p.enable_trace_sampling(spec);
-        assert!(p.sampling_enabled());
-        assert!(p.tracing_enabled(), "sampling implies tracing");
         let (fid, wl, payload) = deploy_html(&mut p, 512);
         for _ in 0..40 {
             p.invoke(fid, &wl, &payload);
             p.advance(SimDuration::from_millis(200));
         }
         let traces = p.take_traces();
-        assert!(!traces.is_empty());
+        assert!(!traces.is_empty(), "sampling implies tracing");
         assert!(
             traces.len() <= spec.max_kept(1),
-            "kept {} of 40 traces",
+            "the sampler is active, yet it kept {} of 40 traces",
             traces.len()
         );
         let seqs: Vec<u64> = traces.iter().map(|t| t.seq).collect();

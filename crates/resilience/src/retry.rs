@@ -345,12 +345,19 @@ impl RetryPolicy {
     }
 }
 
+/// Parses a whole number of milliseconds for `key`, refusing counts the
+/// simulator clock cannot hold rather than letting them wrap.
 fn parse_ms(key: &str, value: &str) -> Result<SimDuration, String> {
     let ms: u64 = value
         .trim()
         .parse()
         .map_err(|e| format!("bad {key} millis `{value}`: {e}"))?;
-    Ok(SimDuration::from_millis(ms))
+    SimDuration::checked_from_millis(ms).ok_or_else(|| {
+        format!(
+            "{key} {ms} ms does not fit the simulator clock (at most {} ms)",
+            u64::MAX / 1_000_000
+        )
+    })
 }
 
 #[cfg(test)]
@@ -564,6 +571,32 @@ mod tests {
             assert!(
                 RetryPolicy::parse(bad).is_err(),
                 "`{bad}` should be rejected"
+            );
+        }
+    }
+
+    #[test]
+    fn parse_rejects_durations_past_the_simulator_clock() {
+        let max = u64::MAX / 1_000_000;
+        let longest = SimDuration::from_millis(max);
+        for (key, spec) in [
+            ("base", "base={}"),
+            ("cap", "cap={}"),
+            ("deadline", "deadline={}"),
+            ("breaker", "breaker=5@{}"),
+        ] {
+            let p = RetryPolicy::parse(&spec.replace("{}", &max.to_string())).unwrap();
+            let parsed = match key {
+                "base" => p.base_backoff,
+                "cap" => p.max_backoff,
+                "deadline" => p.deadline.unwrap(),
+                _ => p.breaker.unwrap().cooldown,
+            };
+            assert_eq!(parsed, longest, "{key}");
+            let err = RetryPolicy::parse(&spec.replace("{}", &(max + 1).to_string())).unwrap_err();
+            assert!(
+                err.starts_with(key) && err.contains("does not fit"),
+                "{key}: {err}"
             );
         }
     }

@@ -109,6 +109,16 @@ impl SimDuration {
         SimDuration(secs * 1_000_000_000)
     }
 
+    /// Creates a duration of `millis` milliseconds, or `None` when that
+    /// many nanoseconds overflow `u64` — for counts that come from outside
+    /// the program.
+    pub const fn checked_from_millis(millis: u64) -> Option<Self> {
+        match millis.checked_mul(1_000_000) {
+            Some(nanos) => Some(SimDuration(nanos)),
+            None => None,
+        }
+    }
+
     /// Creates a duration of `secs` seconds, or `None` when that many
     /// nanoseconds overflow `u64` (beyond about 584 years) — for counts
     /// that come from outside the program.
@@ -378,6 +388,17 @@ mod tests {
         );
         assert_eq!(SimDuration::checked_from_secs(max + 1), None);
         assert_eq!(SimDuration::checked_from_secs(0), Some(SimDuration::ZERO));
+    }
+
+    #[test]
+    fn checked_from_millis_stops_at_the_largest_whole_millisecond() {
+        let max = u64::MAX / 1_000_000;
+        assert_eq!(
+            SimDuration::checked_from_millis(max),
+            Some(SimDuration::from_millis(max))
+        );
+        assert_eq!(SimDuration::checked_from_millis(max + 1), None);
+        assert_eq!(SimDuration::checked_from_millis(0), Some(SimDuration::ZERO));
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! storage; both are reproduced here:
 //!
 //! * **❸ persistent storage** ([`object`]) — S3 / Blob Storage / Cloud
-//!   Storage equivalents: high throughput, high latency, priced per request
-//!   and per GB. A unified [`ObjectStorage`] trait plays the role of the
-//!   paper's "translation layer that exposes a single API" across providers.
+//!   Storage equivalents: high throughput, high latency. A unified
+//!   [`ObjectStorage`] trait plays the role of the paper's "translation
+//!   layer that exposes a single API" across providers.
 //! * **❹ ephemeral storage** ([`ephemeral`]) — Redis-class in-memory
 //!   key-value store with µs-scale latency and lifetime bound to a VM.
 //!
@@ -16,8 +16,6 @@
 
 pub mod ephemeral;
 pub mod object;
-pub mod pricing;
 
 pub use ephemeral::EphemeralKv;
 pub use object::{ObjectStorage, SimObjectStore, StorageError, StorageOp, StorageStats};
-pub use pricing::StoragePricing;

@@ -8,7 +8,7 @@ use sebs::experiments::run_perf_cost_grid;
 use sebs::{ExperimentGrid, ParallelRunner, Suite, SuiteConfig};
 use sebs_platform::{FaasPlatform, ProviderKind, ProviderProfile};
 use sebs_sim::SimDuration;
-use sebs_telemetry::{csv_timeseries, prometheus_text, MetricsChunk};
+use sebs_telemetry::{csv_timeseries, prometheus_text, MetricsChunk, DEFAULT_SAMPLE_INTERVAL};
 use sebs_workloads::{Language, Scale};
 
 const SEED: u64 = 2024;
@@ -144,7 +144,7 @@ fn monitoring_fidelity_gauges_mirror_the_paper_table() {
         (ProviderKind::Gcp, 0.0, 1.0),
     ] {
         let mut platform = FaasPlatform::new(ProviderProfile::for_kind(kind), SEED);
-        platform.set_metrics(true);
+        platform.enable_metrics(DEFAULT_SAMPLE_INTERVAL);
         let chunk = platform.take_metrics().expect("metrics are enabled");
         assert_eq!(
             gauge(&chunk, "sebs_monitoring_reports_memory"),
