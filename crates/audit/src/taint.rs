@@ -17,10 +17,11 @@
 //!   streams, never the parent generator).
 //! * **float-total-order** — `partial_cmp` on floats is order-unstable the
 //!   moment a NaN appears; deterministic comparisons use `f64::total_cmp`.
-//! * **hot-path-allocation** — `format!` / `.to_string()` / `Vec::new` /
-//!   `Box::new` inside the engine-dispatch and `invoke_one` call chains;
-//!   feeds the engine raw-speed campaign by keeping per-event allocations
-//!   visible.
+//! * **hot-path-allocation** — `format!`, `vec!`, `.to_string()`,
+//!   `.collect()`, `.partition()`, `.to_vec()`, `Vec::new`,
+//!   `Vec::with_capacity` and `Box::new` inside the engine-dispatch and
+//!   `invoke_one` call chains; feeds the engine raw-speed campaign by
+//!   keeping per-event allocations visible.
 //!
 //! The taint domain deliberately excludes the sanctioned escape hatches:
 //! the cloud clock shim, the seeded fault injector, and the bench harness
@@ -274,30 +275,51 @@ fn hot_path_allocation(
     }
 }
 
+/// Allocating method calls: `.name(`, or `.name::<…>(` with a turbofish.
+const ALLOC_METHODS: &[(&str, &str)] = &[
+    ("to_string", ".to_string() allocation"),
+    ("collect", ".collect() allocation"),
+    ("partition", ".partition() allocation"),
+    ("to_vec", ".to_vec() allocation"),
+];
+
+/// Allocating associated functions: `Type::name(`.
+const ALLOC_CONSTRUCTORS: &[(&str, &str, &str)] = &[
+    ("Vec", "new", "Vec::new allocation"),
+    ("Vec", "with_capacity", "Vec::with_capacity allocation"),
+    ("Box", "new", "Box::new allocation"),
+];
+
+/// Allocating macros: `name!` followed by its opening delimiter.
+const ALLOC_MACROS: &[(&str, &str)] =
+    &[("format", "format! allocation"), ("vec", "vec! allocation")];
+
 /// Recognises an allocation site starting at token `i`.
 fn alloc_site(toks: &[Tok], i: usize) -> Option<&'static str> {
+    let at = |k: usize| toks.get(i + k);
     let t = &toks[i];
-    if t.is_ident("format") && toks.get(i + 1).is_some_and(|n| n.is_punct("!")) {
-        return Some("format! allocation");
+    if t.is_punct(".") {
+        let name = at(1)?;
+        let called = at(2).is_some_and(|n| n.is_punct("(") || n.is_punct("::"));
+        return ALLOC_METHODS
+            .iter()
+            .find(|(method, _)| called && name.is_ident(method))
+            .map(|(_, what)| *what);
     }
-    if t.is_punct(".")
-        && toks.get(i + 1).is_some_and(|n| n.is_ident("to_string"))
-        && toks.get(i + 2).is_some_and(|n| n.is_punct("("))
-    {
-        return Some(".to_string() allocation");
+    if at(1).is_some_and(|n| n.kind == TokKind::PathSep) {
+        let name = at(2)?;
+        let called = at(3).is_some_and(|n| n.is_punct("("));
+        return ALLOC_CONSTRUCTORS
+            .iter()
+            .find(|(ty, f, _)| called && t.is_ident(ty) && name.is_ident(f))
+            .map(|(_, _, what)| *what);
     }
-    if (t.is_ident("Vec") || t.is_ident("Box"))
-        && toks.get(i + 1).is_some_and(|n| n.kind == TokKind::PathSep)
-        && toks.get(i + 2).is_some_and(|n| n.is_ident("new"))
-        && toks.get(i + 3).is_some_and(|n| n.is_punct("("))
-    {
-        return Some(if t.is_ident("Vec") {
-            "Vec::new allocation"
-        } else {
-            "Box::new allocation"
-        });
-    }
-    None
+    let invoked = at(1).is_some_and(|n| n.is_punct("!"))
+        && at(2).is_some_and(|n| n.is_punct("(") || n.is_punct("[") || n.is_punct("{"));
+    ALLOC_MACROS
+        .iter()
+        .find(|(name, _)| invoked && t.is_ident(name))
+        .map(|(_, what)| *what)
 }
 
 #[cfg(test)]
@@ -413,6 +435,62 @@ mod tests {
             .collect();
         assert_eq!(ff.len(), 1);
         assert_eq!(ff[0].line, 1);
+    }
+
+    /// Hot-path findings for a hot `step` body and a cold `idle` body.
+    fn hot_findings(step_body: &str, idle_body: &str) -> Vec<Finding> {
+        let src = format!(
+            "pub struct Engine;\nimpl Engine {{ pub fn run(&mut self) {{ step(); }} }}\n\
+             fn step() {{ {step_body} }}\nfn idle() {{ {idle_body} }}"
+        );
+        let (g, src) = graph(&[("crates/sim/src/engine.rs", "sim", &src)]);
+        run_flow_rules(&g, &src)
+            .into_iter()
+            .filter(|f| f.rule == Rule::HotPathAllocation)
+            .collect()
+    }
+
+    #[test]
+    fn hot_path_flags_collect_calls_with_and_without_turbofish() {
+        let body = "let a: Vec<u8> = xs.iter().copied().collect();\n\
+                    let b = xs.iter().collect::<Vec<_>>();";
+        let hot = hot_findings(body, body);
+        assert_eq!(hot.len(), 2, "{hot:?}");
+        assert!(hot
+            .iter()
+            .all(|f| f.detail.starts_with(".collect() allocation")));
+        assert!(hot.iter().all(|f| f.symbol.ends_with("step")));
+    }
+
+    #[test]
+    fn hot_path_flags_partition_calls() {
+        let body = "let (a, b): (Vec<u8>, Vec<u8>) = xs.into_iter().partition(|x| *x > 0);";
+        let hot = hot_findings(body, body);
+        assert_eq!(hot.len(), 1, "{hot:?}");
+        assert!(hot[0].detail.starts_with(".partition() allocation"));
+    }
+
+    #[test]
+    fn hot_path_flags_to_vec_calls() {
+        let hot = hot_findings("let v = xs.to_vec();", "let v = xs.to_vec();");
+        assert_eq!(hot.len(), 1, "{hot:?}");
+        assert!(hot[0].detail.starts_with(".to_vec() allocation"));
+    }
+
+    #[test]
+    fn hot_path_flags_vec_macros_but_not_a_vec_binding() {
+        let body = "let v = vec![0u8; 4];\nlet w = vec!(1, 2);\nlet same = vec != other;";
+        let hot = hot_findings(body, body);
+        assert_eq!(hot.len(), 2, "{hot:?}");
+        assert!(hot.iter().all(|f| f.detail.starts_with("vec! allocation")));
+    }
+
+    #[test]
+    fn hot_path_flags_vec_with_capacity() {
+        let body = "let v: Vec<u8> = Vec::with_capacity(8);";
+        let hot = hot_findings(body, body);
+        assert_eq!(hot.len(), 1, "{hot:?}");
+        assert!(hot[0].detail.starts_with("Vec::with_capacity allocation"));
     }
 
     #[test]

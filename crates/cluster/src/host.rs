@@ -104,9 +104,10 @@ impl Host {
         self.inflight.len().min(self.cpus as usize)
     }
 
-    /// Whether another invocation can be admitted.
+    /// Whether another invocation can be admitted. The slot count is
+    /// summed in `u64`: `cpus + queue_depth` can exceed `u32::MAX`.
     pub fn has_capacity(&self) -> bool {
-        self.inflight.len() < (self.cpus + self.queue_depth) as usize
+        (self.inflight.len() as u64) < u64::from(self.cpus) + u64::from(self.queue_depth)
     }
 
     /// Drops inflight entries that completed at or before `now`.
@@ -225,6 +226,18 @@ mod tests {
         assert!(!h.has_capacity(), "queue full");
         h.prune_inflight(at(25));
         assert_eq!(h.inflight(), 2);
+        assert!(h.has_capacity());
+    }
+
+    #[test]
+    fn capacity_holds_when_cpus_plus_queue_passes_u32_max() {
+        // 4 + (2^32 - 4) is exactly 2^32: summed in u32 it wraps to 0 and
+        // every arrival would be shed.
+        let mut h = Host::new(0, ProviderProfile::aws(), 7, 4, u32::MAX - 3);
+        assert!(h.has_capacity());
+        h.push_inflight(at(10));
+        assert!(h.has_capacity());
+        let h = Host::new(0, ProviderProfile::aws(), 7, u32::MAX, u32::MAX);
         assert!(h.has_capacity());
     }
 

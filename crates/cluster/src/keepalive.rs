@@ -107,13 +107,13 @@ const CLAMP_HI_MS: u64 = 7_200_000;
 #[derive(Debug, Clone, Default)]
 struct FnHistory {
     last_arrival: Option<SimTime>,
-    /// Ring buffer of recent idle gaps, milliseconds.
+    /// Ring buffer of recent idle gaps in arrival order, milliseconds.
     gaps_ms: Vec<u64>,
     next_slot: usize,
-    /// Cached nearest-rank percentiles of `gaps_ms` (valid once the ring
-    /// holds [`HYBRID_MIN_SAMPLES`]).
-    p5_ms: u64,
-    p99_ms: u64,
+    /// The same gaps kept ascending: each new gap replaces the one it
+    /// pushes out of the ring with one removal and one insertion, so the
+    /// percentiles are read off without sorting.
+    sorted_ms: Vec<u64>,
     /// The keep-alive currently installed on the pools, ms (0 = none yet).
     applied_ms: u64,
 }
@@ -123,17 +123,28 @@ impl FnHistory {
         if self.gaps_ms.len() < HYBRID_WINDOW {
             self.gaps_ms.push(gap_ms);
         } else {
-            self.gaps_ms[self.next_slot] = gap_ms;
+            let evicted = std::mem::replace(&mut self.gaps_ms[self.next_slot], gap_ms);
             self.next_slot = (self.next_slot + 1) % HYBRID_WINDOW;
+            // Equal gaps are interchangeable, so any copy may go.
+            let at = self.sorted_ms.partition_point(|&g| g < evicted);
+            self.sorted_ms.remove(at);
         }
-        let mut sorted = self.gaps_ms.clone();
-        sorted.sort_unstable();
-        self.p5_ms = nearest_rank(&sorted, 0.05);
-        self.p99_ms = nearest_rank(&sorted, 0.99);
+        let at = self.sorted_ms.partition_point(|&g| g < gap_ms);
+        self.sorted_ms.insert(at, gap_ms);
     }
 
     fn ready(&self) -> bool {
         self.gaps_ms.len() >= HYBRID_MIN_SAMPLES
+    }
+
+    /// Nearest-rank 5th-percentile gap of the window, ms.
+    fn p5_ms(&self) -> u64 {
+        nearest_rank(&self.sorted_ms, 0.05)
+    }
+
+    /// Nearest-rank 99th-percentile gap of the window, ms.
+    fn p99_ms(&self) -> u64 {
+        nearest_rank(&self.sorted_ms, 0.99)
     }
 }
 
@@ -204,8 +215,8 @@ impl KeepAlivePolicy for HybridHistogram {
         if !h.ready() {
             return None;
         }
-        let target_ms = if h.p5_ms <= LONG_GAP_MS {
-            h.p99_ms.clamp(CLAMP_LO_MS, CLAMP_HI_MS)
+        let target_ms = if h.p5_ms() <= LONG_GAP_MS {
+            h.p99_ms().clamp(CLAMP_LO_MS, CLAMP_HI_MS)
         } else {
             CLAMP_LO_MS
         };
@@ -220,14 +231,14 @@ impl KeepAlivePolicy for HybridHistogram {
         let Some(h) = self.fns.get(function as usize) else {
             return false;
         };
-        if !h.ready() || h.p5_ms <= LONG_GAP_MS {
+        if !h.ready() || h.p5_ms() <= LONG_GAP_MS {
             return false;
         }
         let Some(last) = h.last_arrival else {
             return false;
         };
         let gap_ms = ((now - last).as_secs_f64() * 1e3).round() as u64;
-        gap_ms >= h.p5_ms / 100 * 85 && gap_ms <= h.p99_ms / 100 * 115
+        gap_ms >= h.p5_ms() / 100 * 85 && gap_ms <= h.p99_ms() / 100 * 115
     }
 }
 
@@ -389,6 +400,88 @@ mod tests {
             }
         }
         assert_eq!(retunes, 1, "a stable histogram retunes once");
+    }
+
+    /// The controller as it was before the window was kept sorted: the
+    /// ring is cloned and sorted after every gap.
+    #[derive(Default)]
+    struct SortEveryGap {
+        last: Option<SimTime>,
+        ring: Vec<u64>,
+        next: usize,
+        p5_ms: u64,
+        p99_ms: u64,
+        applied_ms: u64,
+    }
+
+    impl SortEveryGap {
+        /// Records an arrival; returns the retuned keep-alive, ms.
+        fn observe(&mut self, now: SimTime) -> Option<u64> {
+            if let Some(last) = self.last {
+                let gap = ((now - last).as_secs_f64() * 1e3).round() as u64;
+                if self.ring.len() < HYBRID_WINDOW {
+                    self.ring.push(gap);
+                } else {
+                    self.ring[self.next] = gap;
+                    self.next = (self.next + 1) % HYBRID_WINDOW;
+                }
+                let mut sorted = self.ring.clone();
+                sorted.sort_unstable();
+                self.p5_ms = nearest_rank(&sorted, 0.05);
+                self.p99_ms = nearest_rank(&sorted, 0.99);
+            }
+            self.last = Some(now);
+            if self.ring.len() < HYBRID_MIN_SAMPLES {
+                return None;
+            }
+            let target = if self.p5_ms <= LONG_GAP_MS {
+                self.p99_ms.clamp(CLAMP_LO_MS, CLAMP_HI_MS)
+            } else {
+                CLAMP_LO_MS
+            };
+            (target != self.applied_ms).then(|| {
+                self.applied_ms = target;
+                target
+            })
+        }
+    }
+
+    #[test]
+    fn sorted_window_matches_sorting_after_every_gap() {
+        use sebs_sim::rng::Rng;
+        // 600 gaps wrap the 256-gap ring twice. Gaps repeat (a few values,
+        // drawn with replacement) and the regime moves from short gaps to
+        // long ones and back, so both percentiles and the retune target
+        // change many times.
+        let menus: [&[u64]; 3] = [
+            &[1_000, 5_000, 5_000, 30_000, 30_000, 90_000],
+            &[150_000, 200_000, 200_000, 400_000, 1_000_000],
+            &[5_000, 30_000, 90_000, 200_000, 1_000_000, 3_000_000],
+        ];
+        let mut draws = sebs_sim::SimRng::new(4).stream("gaps");
+        let mut p = HybridHistogram::new();
+        let mut reference = SortEveryGap::default();
+        let mut now = at(0);
+        let mut retunes = 0;
+        for i in 0..=600 {
+            if i > 0 {
+                let menu = menus[(i - 1) / 200];
+                now += SimDuration::from_millis(menu[draws.gen_range(0..menu.len())]);
+            }
+            let tuned = p.observe_arrival(0, now).map(|policy| match policy {
+                EvictionPolicy::IdleTimeout { timeout, .. } => timeout.as_millis(),
+                other => panic!("hybrid retunes to idle timeouts, got {other:?}"),
+            });
+            assert_eq!(tuned, reference.observe(now), "arrival {i}");
+            let h = &p.fns[0];
+            assert_eq!((h.p5_ms(), h.p99_ms()), (reference.p5_ms, reference.p99_ms));
+            retunes += usize::from(tuned.is_some());
+        }
+        assert_eq!(p.fns[0].sorted_ms.len(), HYBRID_WINDOW);
+        assert!(
+            retunes >= 4,
+            "the decisions were exercised: {retunes} retunes"
+        );
     }
 
     #[test]

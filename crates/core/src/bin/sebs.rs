@@ -1361,6 +1361,24 @@ mod tests {
     }
 
     #[test]
+    fn a_queue_that_overflows_cpus_plus_queue_in_u32_still_admits() {
+        // 4 CPUs + a 4294967292-deep queue is 2^32 slots per host: the
+        // whole replay is served, not shed as if no host had room.
+        let json = temp("huge-queue.json");
+        let line = "--cpus 4 --functions 24 --invocations 2400 --schedulers least-loaded \
+                    --keepalives provider --host-fault-rates 0 --queue 4294967292 --jobs 1";
+        cmd_cluster(flags("cluster", line).with("--json", &json)).unwrap();
+        let store = ResultStore::from_json(&take_file(&json)).unwrap();
+        let metric = |name: &str| {
+            let row = store.rows().iter().find(|m| m.metric == name);
+            row.unwrap().value
+        };
+        assert_eq!(metric("chains"), 3526.0);
+        assert_eq!(metric("shed"), 0.0);
+        assert_eq!(metric("effective_availability"), 1.0);
+    }
+
+    #[test]
     fn zero_samples_are_rejected_by_every_command_that_takes_them() {
         let cases: [(Command, &str, &str); 4] = [
             (cmd_experiment, "experiment", "perf-cost"),

@@ -22,7 +22,7 @@ pub enum ContainerState {
 }
 
 /// A sandbox holding one warm copy of a function.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Container {
     /// Identifier.
     pub id: ContainerId,

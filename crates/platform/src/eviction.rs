@@ -35,7 +35,8 @@ pub enum EvictionPolicy {
 }
 
 impl EvictionPolicy {
-    /// Filters a pool's idle containers, retaining the survivors at `now`.
+    /// Filters a pool's idle containers in place, retaining the survivors
+    /// at `now` in their current order.
     ///
     /// For [`EvictionPolicy::HalfLife`], a container with pool slot `s`
     /// survives `p = ⌊idle/period⌋` halvings iff `s mod 2^p == 0` — a
@@ -44,25 +45,21 @@ impl EvictionPolicy {
     /// Keying on the stable slot (not the current vector index) makes
     /// repeated application idempotent: filtering at `p₂ ≥ p₁` after `p₁`
     /// selects exactly the `p₂` survivors of the original batch.
-    pub fn survivors(
+    /// [`EvictionPolicy::IdleTimeout`] draws one jitter per container, in
+    /// order.
+    pub fn retain_survivors(
         &self,
-        containers: Vec<Container>,
+        containers: &mut Vec<Container>,
         now: SimTime,
         rng: &mut StreamRng,
-    ) -> Vec<Container> {
+    ) {
         match self {
-            EvictionPolicy::HalfLife { .. } => containers
-                .into_iter()
-                .filter(|c| self.would_survive(c, now))
-                .collect(),
-            EvictionPolicy::IdleTimeout { timeout, jitter_ms } => containers
-                .into_iter()
-                .filter(|c| {
-                    let jitter = jitter_ms.sample_millis(rng);
-                    c.idle_for(now) < timeout.saturating_add(jitter)
-                })
-                .collect(),
-            EvictionPolicy::Never => containers,
+            EvictionPolicy::HalfLife { .. } => containers.retain(|c| self.would_survive(c, now)),
+            EvictionPolicy::IdleTimeout { timeout, jitter_ms } => containers.retain(|c| {
+                let jitter = jitter_ms.sample_millis(rng);
+                c.idle_for(now) < timeout.saturating_add(jitter)
+            }),
+            EvictionPolicy::Never => {}
         }
     }
 
@@ -104,6 +101,16 @@ mod tests {
         SimRng::new(1).stream("evict")
     }
 
+    fn survivors(
+        policy: &EvictionPolicy,
+        mut containers: Vec<Container>,
+        now: SimTime,
+        rng: &mut StreamRng,
+    ) -> Vec<Container> {
+        policy.retain_survivors(&mut containers, now, rng);
+        containers
+    }
+
     #[test]
     fn half_life_halves_each_period() {
         let policy = EvictionPolicy::HalfLife {
@@ -118,8 +125,12 @@ mod tests {
             (1140, 2),
             (1520, 1),
         ] {
-            let survivors =
-                policy.survivors(batch(16, t0), t0 + SimDuration::from_secs(dt), &mut rng());
+            let survivors = survivors(
+                &policy,
+                batch(16, t0),
+                t0 + SimDuration::from_secs(dt),
+                &mut rng(),
+            );
             assert_eq!(survivors.len(), expect, "ΔT = {dt}s");
         }
     }
@@ -133,9 +144,7 @@ mod tests {
         for d_init in [1u64, 2, 3, 5, 8, 20] {
             for k in 0..4u64 {
                 let dt = SimDuration::from_secs(380 * k + 10);
-                let got = policy
-                    .survivors(batch(d_init, t0), t0 + dt, &mut rng())
-                    .len();
+                let got = survivors(&policy, batch(d_init, t0), t0 + dt, &mut rng()).len();
                 let expected = (d_init as f64 * 0.5f64.powi(k as i32)).ceil() as usize;
                 assert_eq!(got, expected, "D={d_init} k={k}");
             }
@@ -153,9 +162,7 @@ mod tests {
         for c in &mut cs {
             c.invocations = 1000;
         }
-        let n = policy
-            .survivors(cs, t0 + SimDuration::from_secs(400), &mut rng())
-            .len();
+        let n = survivors(&policy, cs, t0 + SimDuration::from_secs(400), &mut rng()).len();
         assert_eq!(n, 4);
     }
 
@@ -167,10 +174,20 @@ mod tests {
             period: SimDuration::from_secs(380),
         };
         let t0 = SimTime::ZERO;
-        let step1 = policy.survivors(batch(16, t0), t0 + SimDuration::from_secs(400), &mut rng());
+        let step1 = survivors(
+            &policy,
+            batch(16, t0),
+            t0 + SimDuration::from_secs(400),
+            &mut rng(),
+        );
         assert_eq!(step1.len(), 8);
-        let step2 = policy.survivors(step1, t0 + SimDuration::from_secs(800), &mut rng());
-        let direct = policy.survivors(batch(16, t0), t0 + SimDuration::from_secs(800), &mut rng());
+        let step2 = survivors(&policy, step1, t0 + SimDuration::from_secs(800), &mut rng());
+        let direct = survivors(
+            &policy,
+            batch(16, t0),
+            t0 + SimDuration::from_secs(800),
+            &mut rng(),
+        );
         assert_eq!(step2.len(), direct.len());
         assert_eq!(step2.len(), 4);
     }
@@ -183,7 +200,7 @@ mod tests {
         };
         let mut cs = batch(2, SimTime::ZERO);
         cs[1].last_used_at = SimTime::from_secs(90);
-        let survivors = policy.survivors(cs, SimTime::from_secs(120), &mut rng());
+        let survivors = survivors(&policy, cs, SimTime::from_secs(120), &mut rng());
         assert_eq!(survivors.len(), 1);
         assert_eq!(survivors[0].id, ContainerId(1));
     }
@@ -199,7 +216,8 @@ mod tests {
         };
         // At idle = 150 s, survival depends on the per-container jitter:
         // over many containers some survive, some do not.
-        let survivors = policy.survivors(
+        let survivors = survivors(
+            &policy,
             batch(200, SimTime::ZERO),
             SimTime::from_secs(150),
             &mut rng(),
@@ -215,8 +233,7 @@ mod tests {
         let t0 = SimTime::ZERO;
         for dt in [0u64, 379, 380, 760, 1140, 1520] {
             let now = t0 + SimDuration::from_secs(dt);
-            let via_survivors: Vec<u64> = policy
-                .survivors(batch(16, t0), now, &mut rng())
+            let via_survivors: Vec<u64> = survivors(&policy, batch(16, t0), now, &mut rng())
                 .iter()
                 .map(|c| c.slot)
                 .collect();
@@ -249,7 +266,8 @@ mod tests {
 
     #[test]
     fn never_keeps_everything() {
-        let survivors = EvictionPolicy::Never.survivors(
+        let survivors = survivors(
+            &EvictionPolicy::Never,
             batch(10, SimTime::ZERO),
             SimTime::from_secs(1_000_000),
             &mut rng(),

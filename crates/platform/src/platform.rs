@@ -16,6 +16,7 @@ use sebs_workloads::{InvocationCtx, IoEvent, IoKind, Payload, Workload, Workload
 
 use crate::billing::InvocationBill;
 use crate::chain::{Attempt, AttemptKind, ChainTimeline, RetryDriver};
+use crate::container::ContainerId;
 use crate::function::{FunctionConfig, FunctionId};
 use crate::invocation::{
     AttemptChain, FunctionErrorKind, InvocationOutcome, InvocationRecord, StartKind,
@@ -59,7 +60,8 @@ impl std::error::Error for DeployError {}
 struct Deployed {
     config: FunctionConfig,
     effective_memory_mb: u32,
-    pool_key: String,
+    /// Position of the function's container pool in `FaasPlatform::pools`.
+    pool: usize,
 }
 
 /// The `PlatformLimits` scalars `invoke_one` reads, copied up front so the
@@ -132,9 +134,14 @@ pub struct FaasPlatform {
     profile: ProviderProfile,
     // Deployments are shared, not cloned, per invocation: `invoke_one`
     // holds an `Rc` while it mutates pools and RNG streams, so the hot
-    // path never copies a `FunctionConfig` or pool-key string.
+    // path never copies a `FunctionConfig`.
     functions: Vec<Rc<Deployed>>,
-    pools: BTreeMap<String, ContainerPool>,
+    // Pools sit in deployment order and each `Deployed` stores its pool's
+    // position, so no invocation looks a pool up by name. The name index
+    // (`fn:<id>` or `app:<name>`) serves only function-app sharing at
+    // deploy time and the name-ordered metrics refresh.
+    pools: Vec<ContainerPool>,
+    pool_index: BTreeMap<String, usize>,
     storage: SimObjectStore,
     now: SimTime,
     server_clock: DriftingClock,
@@ -200,7 +207,8 @@ impl FaasPlatform {
         FaasPlatform {
             profile,
             functions: Vec::new(),
-            pools: BTreeMap::new(),
+            pools: Vec::new(),
+            pool_index: BTreeMap::new(),
             storage: SimObjectStore::default_model(),
             now: SimTime::ZERO,
             server_clock: DriftingClock::new(offset, skew),
@@ -379,19 +387,6 @@ impl FaasPlatform {
         if self.metrics.is_none() {
             return;
         }
-        let pools: Vec<(String, crate::pool::PoolObservation, u64, u64, u64)> = self
-            .pools
-            .iter()
-            .map(|(key, pool)| {
-                (
-                    key.clone(),
-                    pool.observe(t),
-                    pool.cold_starts,
-                    pool.warm_hits,
-                    pool.evictions,
-                )
-            })
-            .collect();
         let storage = self.storage.stats();
         let fault_counts = self.faults.as_ref().map(|f| f.counts());
         let Some(hub) = self.metrics.as_mut() else {
@@ -401,15 +396,17 @@ impl FaasPlatform {
         // a counter series appears on first increment) — otherwise an
         // untouched platform would export all-zero storage counters and
         // never count as idle.
-        for (key, obs, cold, warm_hits, evictions) in &pools {
-            let labels = [("pool", key.as_str())];
+        for (name, &at) in &self.pool_index {
+            let pool = &self.pools[at];
+            let obs = pool.observe(t);
+            let labels = [("pool", name.as_str())];
             hub.gauge_set("sebs_containers_warm", &labels, obs.warm as f64);
             hub.gauge_set("sebs_containers_idle", &labels, obs.idle as f64);
             hub.gauge_set("sebs_containers_active", &labels, obs.active as f64);
             for (metric, value) in [
-                ("sebs_pool_cold_starts_total", *cold),
-                ("sebs_pool_warm_hits_total", *warm_hits),
-                ("sebs_pool_evictions_total", *evictions),
+                ("sebs_pool_cold_starts_total", pool.cold_starts),
+                ("sebs_pool_warm_hits_total", pool.warm_hits),
+                ("sebs_pool_evictions_total", pool.evictions),
             ] {
                 if value > 0 {
                     hub.counter_set(metric, &labels, value as f64);
@@ -556,13 +553,16 @@ impl FaasPlatform {
             (Some(app), true) => format!("app:{app}"),
             _ => format!("fn:{}", id.0),
         };
-        self.pools
-            .entry(pool_key.clone())
-            .or_insert_with(|| ContainerPool::new(self.profile.eviction.clone()));
+        let pools = &mut self.pools;
+        let eviction = &self.profile.eviction;
+        let pool = *self.pool_index.entry(pool_key).or_insert_with(|| {
+            pools.push(ContainerPool::new(eviction.clone()));
+            pools.len() - 1
+        });
         self.functions.push(Rc::new(Deployed {
             config,
             effective_memory_mb: effective,
-            pool_key,
+            pool,
         }));
         Ok(id)
     }
@@ -579,17 +579,15 @@ impl FaasPlatform {
     /// start (SeBS updates the function configuration on AWS / publishes a
     /// new version on Azure and GCP to achieve this).
     pub fn enforce_cold_start(&mut self, id: FunctionId) {
-        let key = self.functions[id.0 as usize].pool_key.clone();
-        if let Some(pool) = self.pools.get_mut(&key) {
-            pool.evict_all();
-        }
+        let pool = self.pool_of(id);
+        self.pools[pool].evict_all();
     }
 
     /// Kills all warm containers of **every** function — the cluster's
     /// host-crash switch: a dead machine loses its entire warm pool at
     /// once. RNG-free, like [`FaasPlatform::enforce_cold_start`].
     pub fn evict_all_containers(&mut self) {
-        for pool in self.pools.values_mut() {
+        for pool in &mut self.pools {
             pool.evict_all();
         }
     }
@@ -599,10 +597,8 @@ impl FaasPlatform {
     /// idle containers survive. Existing containers keep their state; the
     /// new policy applies from the next pool advance.
     pub fn set_pool_policy(&mut self, id: FunctionId, policy: crate::eviction::EvictionPolicy) {
-        let key = self.functions[id.0 as usize].pool_key.clone();
-        if let Some(pool) = self.pools.get_mut(&key) {
-            pool.set_policy(policy);
-        }
+        let pool = self.pool_of(id);
+        self.pools[pool].set_policy(policy);
     }
 
     /// Sets the co-location contention multiplier: the extra slowdown a
@@ -622,12 +618,9 @@ impl FaasPlatform {
     /// warm pool is left untouched rather than touched, so prewarming an
     /// already-warm function does not refresh its idle clock).
     pub fn prewarm(&mut self, id: FunctionId) -> bool {
-        let deployed = Rc::clone(&self.functions[id.0 as usize]);
         let now = self.now;
-        let pool = match self.pools.get_mut(&deployed.pool_key) {
-            Some(pool) => pool,
-            None => return false,
-        };
+        let pool = self.pool_of(id);
+        let pool = &mut self.pools[pool];
         pool.advance(now, &mut self.rng_pool);
         if pool.idle_count() > 0 {
             return false;
@@ -641,12 +634,8 @@ impl FaasPlatform {
     /// applying evictions at the current time) — the probe of the
     /// Eviction-Model experiment.
     pub fn warm_containers(&mut self, id: FunctionId) -> usize {
-        let key = self.functions[id.0 as usize].pool_key.clone();
-        let now = self.now;
-        match self.pools.get_mut(&key) {
-            Some(pool) => pool.warm_count(now, &mut self.rng_pool),
-            None => 0,
-        }
+        let pool = self.pool_of(id);
+        self.pools[pool].warm_count(self.now, &mut self.rng_pool)
     }
 
     /// Read-only snapshot of a function's container pool at the current
@@ -655,11 +644,12 @@ impl FaasPlatform {
     /// mutates nothing, so fleet experiments can sample occupancy
     /// without perturbing the eviction schedule.
     pub fn observe_pool(&self, id: FunctionId) -> PoolObservation {
-        let key = &self.functions[id.0 as usize].pool_key;
-        match self.pools.get(key) {
-            Some(pool) => pool.observe(self.now),
-            None => PoolObservation::default(),
-        }
+        self.pools[self.pool_of(id)].observe(self.now)
+    }
+
+    /// Position of a deployed function's container pool in `pools`.
+    fn pool_of(&self, id: FunctionId) -> usize {
+        self.functions[id.0 as usize].pool
     }
 
     /// Number of deployed functions.
@@ -667,17 +657,21 @@ impl FaasPlatform {
         self.functions.len()
     }
 
-    /// Invokes a function once (a burst of one).
+    /// Invokes a function once: exactly a burst of one over HTTP, with its
+    /// container released in place.
     pub fn invoke(
         &mut self,
         id: FunctionId,
         workload: &dyn Workload,
         payload: &Payload,
     ) -> InvocationRecord {
-        self.invoke_burst(id, workload, std::slice::from_ref(payload))
-            .pop()
-            // audit:allow(panic-hygiene): the burst loop pushes one record per requested invocation
-            .expect("burst of one yields one record")
+        let trigger = self.profile.trigger.resolve(TriggerKind::Http);
+        let (record, release) = self.invoke_one(id, workload, payload, 0, 1, trigger);
+        if let Some((container, at)) = release {
+            let pool = self.pool_of(id);
+            self.pools[pool].release(container, at);
+        }
+        record
     }
 
     /// Invokes a function once under the installed [`RetryPolicy`],
@@ -749,23 +743,26 @@ impl FaasPlatform {
         let trigger = self.profile.trigger.resolve(trigger);
         let n = payloads.len() as u32;
         let mut records = Vec::with_capacity(payloads.len());
-        let mut releases: Vec<(Rc<Deployed>, crate::container::ContainerId, SimTime)> = Vec::new();
+        // Containers are released only after the whole burst has acquired
+        // its own, so no request of a burst reuses another's sandbox.
+        let mut releases = Vec::with_capacity(payloads.len());
         for (i, payload) in payloads.iter().enumerate() {
-            let record =
-                self.invoke_one(id, workload, payload, i as u32, n, trigger, &mut releases);
+            let (record, release) = self.invoke_one(id, workload, payload, i as u32, n, trigger);
             records.push(record);
+            releases.extend(release);
         }
-        for (deployed, cid, at) in releases {
-            self.pools
-                .get_mut(&deployed.pool_key)
-                // audit:allow(panic-hygiene): deploy() inserts the pool before any invocation can reference it
-                .expect("pool exists for deployed function")
-                .release(cid, at);
+        let pool = self.pool_of(id);
+        let pool = &mut self.pools[pool];
+        for (container, at) in releases {
+            pool.release(container, at);
         }
         records
     }
 
-    #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
+    /// Runs one request of a burst of `concurrency`. Returns its record and,
+    /// when it acquired a container, the container with the instant the
+    /// caller must release it at.
+    #[allow(clippy::too_many_lines)]
     fn invoke_one(
         &mut self,
         id: FunctionId,
@@ -774,8 +771,7 @@ impl FaasPlatform {
         index: u32,
         concurrency: u32,
         trigger: TriggerKind,
-        releases: &mut Vec<(Rc<Deployed>, crate::container::ContainerId, SimTime)>,
-    ) -> InvocationRecord {
+    ) -> (InvocationRecord, Option<(ContainerId, SimTime)>) {
         // Share the deployment record and copy the scalar limits/quirks the
         // hot path reads, instead of deep-cloning config strings and
         // distribution tables on every invocation.
@@ -828,7 +824,7 @@ impl FaasPlatform {
             record.t_recv_client = (self.now + rtt).as_secs_f64();
             self.record_failure_trace(&deployed.config.name, &record);
             self.record_invocation_metrics(&deployed.config.name, &record, false);
-            return record;
+            return (record, None);
         }
 
         // 2. Concurrency limit.
@@ -838,7 +834,7 @@ impl FaasPlatform {
             record.t_recv_client = (self.now + record.client_time).as_secs_f64();
             self.record_failure_trace(&deployed.config.name, &record);
             self.record_invocation_metrics(&deployed.config.name, &record, false);
-            return record;
+            return (record, None);
         }
 
         // 3. Injected outage windows, then availability under heavy
@@ -860,7 +856,7 @@ impl FaasPlatform {
             record.t_recv_client = (self.now + record.client_time).as_secs_f64();
             self.record_failure_trace(&deployed.config.name, &record);
             self.record_invocation_metrics(&deployed.config.name, &record, false);
-            return record;
+            return (record, None);
         }
 
         // 4. Sandbox acquisition. Cold-start storms raise the spurious-cold
@@ -872,11 +868,7 @@ impl FaasPlatform {
             .faults
             .as_ref()
             .map_or(0.0, |f| f.storm_boost(self.now));
-        let pool = self
-            .pools
-            .get_mut(&deployed.pool_key)
-            // audit:allow(panic-hygiene): deploy() inserts the pool before any invocation can reference it
-            .expect("pool exists for deployed function");
+        let pool = &mut self.pools[deployed.pool];
         let acquired = pool.acquire(
             self.now,
             &mut self.rng_pool,
@@ -927,7 +919,7 @@ impl FaasPlatform {
                 ctx.counters(),
                 ctx.io_time(),
                 ctx.peak_alloc_bytes(),
-                ctx.io_events().to_vec(),
+                ctx.into_io_events(),
             )
         };
         // Storage faults interpose only when the plan actually has any, so
@@ -1099,8 +1091,8 @@ impl FaasPlatform {
 
         self.record_invocation_metrics(&deployed.config.name, &record, spurious);
 
-        releases.push((deployed, acquired.id(), self.now + record.provider_time));
-        record
+        let release_at = self.now + record.provider_time;
+        (record, Some((acquired.id(), release_at)))
     }
 
     /// Lays out the full span tree of a completed invocation. Every child
@@ -1425,7 +1417,7 @@ fn with_cache_param(payload: &Payload, warm: bool) -> Cow<'_, Payload> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sebs_telemetry::DEFAULT_SAMPLE_INTERVAL;
+    use sebs_telemetry::{SeriesKey, DEFAULT_SAMPLE_INTERVAL};
     use sebs_workloads::templating::DynamicHtml;
     use sebs_workloads::uploader::Uploader;
     use sebs_workloads::{Language, Scale};
@@ -1658,6 +1650,41 @@ mod tests {
             }
         }
         assert!(warm_seen, "function-app sharing should yield warm hits");
+    }
+
+    #[test]
+    fn function_app_members_index_one_shared_pool() {
+        let mut p = FaasPlatform::new(ProviderProfile::azure(), 5);
+        p.enable_metrics(SimDuration::from_secs(1));
+        let wl = DynamicHtml::new(Language::Python);
+        let mut deploy = |name: &str| {
+            let config = FunctionConfig::new(name, Language::Python, 512).in_app("shared-app");
+            p.deploy(config).unwrap()
+        };
+        let (f1, f2) = (deploy("f1"), deploy("f2"));
+        let payload = p.prepare(&wl, Scale::Test);
+        assert_eq!(p.invoke(f1, &wl, &payload).start, StartKind::Cold);
+        p.advance(SimDuration::from_secs(30));
+        let seen = p.observe_pool(f2);
+        assert_eq!((seen.warm, seen.idle), (1, 1), "f2 sees f1's container");
+        assert_eq!(p.observe_pool(f1), seen);
+
+        let chunk = p.take_metrics().expect("metrics enabled");
+        let pools: Vec<&SeriesKey> = chunk
+            .gauges
+            .iter()
+            .map(|(key, _)| key)
+            .filter(|key| key.name == "sebs_containers_warm")
+            .collect();
+        let shared = [("pool".to_string(), "app:shared-app".to_string())];
+        assert_eq!(pools.len(), 1, "one series for the shared pool: {pools:?}");
+        assert_eq!(pools[0].labels, shared);
+        assert!(chunk.points.iter().all(|pt| {
+            !pt.series.name.starts_with("sebs_containers") || pt.series.labels == shared
+        }));
+
+        p.enforce_cold_start(f1);
+        assert_eq!(p.observe_pool(f2), PoolObservation::default());
     }
 
     #[test]

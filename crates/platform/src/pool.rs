@@ -48,7 +48,12 @@ pub struct PoolObservation {
 /// The pool of containers for one deployed function.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ContainerPool {
+    /// Busy containers first after every [`ContainerPool::advance`], then
+    /// the idle survivors in their previous relative order.
     containers: Vec<Container>,
+    /// Reused buffer in which `advance` filters the idle containers; empty
+    /// between calls.
+    idle_scratch: Vec<Container>,
     policy: EvictionPolicy,
     next_id: u64,
     next_slot: u64,
@@ -67,6 +72,7 @@ impl ContainerPool {
     pub fn new(policy: EvictionPolicy) -> ContainerPool {
         ContainerPool {
             containers: Vec::new(),
+            idle_scratch: Vec::new(),
             policy,
             next_id: 0,
             next_slot: 0,
@@ -79,18 +85,22 @@ impl ContainerPool {
     /// Applies the eviction policy at `now`. Call before serving requests
     /// after simulated time has passed.
     pub fn advance(&mut self, now: SimTime, rng: &mut StreamRng) {
-        let all = std::mem::take(&mut self.containers);
-        // Busy containers are never evicted mid-flight.
-        let (busy, idle): (Vec<_>, Vec<_>) = all
-            .into_iter()
-            .partition(|c| c.state == ContainerState::Busy);
-        self.containers = busy;
-        let busy_count = self.containers.len();
+        // Busy containers are never evicted mid-flight: they stay in place,
+        // and the idle ones move, in order, to the scratch buffer, where the
+        // policy filters them before they follow the busy ones back.
+        let mut idle = std::mem::take(&mut self.idle_scratch);
+        self.containers.retain(|c| {
+            let busy = c.state == ContainerState::Busy;
+            if !busy {
+                idle.push(*c);
+            }
+            busy
+        });
         let idle_before = idle.len();
-        self.containers
-            .extend(self.policy.survivors(idle, now, rng));
-        let idle_after = self.containers.len() - busy_count;
-        self.evictions += (idle_before - idle_after) as u64;
+        self.policy.retain_survivors(&mut idle, now, rng);
+        self.evictions += (idle_before - idle.len()) as u64;
+        self.containers.append(&mut idle);
+        self.idle_scratch = idle;
         if self.containers.is_empty() {
             // A fully drained pool restarts its slot sequence, matching the
             // paper's per-batch D_init semantics.
@@ -395,6 +405,105 @@ mod tests {
             pool.evictions, 6,
             "evict_all is a config reset, not eviction"
         );
+    }
+
+    /// `advance` as it was before it went in place: partition the busy
+    /// containers from the idle ones, then filter the idle ones into a
+    /// fresh vector, drawing the jitter in the same order.
+    fn reference_advance(
+        pool: &ContainerPool,
+        now: SimTime,
+        rng: &mut StreamRng,
+    ) -> (Vec<Container>, u64) {
+        let (busy, idle): (Vec<_>, Vec<_>) = pool
+            .containers
+            .iter()
+            .copied()
+            .partition(|c| c.state == ContainerState::Busy);
+        let idle_before = idle.len();
+        let survivors: Vec<Container> = match &pool.policy {
+            EvictionPolicy::HalfLife { .. } => idle
+                .into_iter()
+                .filter(|c| pool.policy.would_survive(c, now))
+                .collect(),
+            EvictionPolicy::IdleTimeout { timeout, jitter_ms } => idle
+                .into_iter()
+                .filter(|c| {
+                    let jitter = jitter_ms.sample_millis(rng);
+                    c.idle_for(now) < timeout.saturating_add(jitter)
+                })
+                .collect(),
+            EvictionPolicy::Never => idle,
+        };
+        let evicted = (idle_before - survivors.len()) as u64;
+        let mut after = busy;
+        after.extend(survivors);
+        (after, evicted)
+    }
+
+    #[test]
+    fn in_place_advance_matches_partition_then_filter() {
+        let policies = [
+            EvictionPolicy::HalfLife {
+                period: SimDuration::from_secs(380),
+            },
+            EvictionPolicy::IdleTimeout {
+                timeout: SimDuration::from_secs(60),
+                jitter_ms: sebs_sim::Dist::Uniform {
+                    lo: 0.0,
+                    hi: 60_000.0,
+                },
+            },
+            EvictionPolicy::Never,
+        ];
+        for policy in policies {
+            let mut pool = ContainerPool::new(policy.clone());
+            let mut r = rng();
+            let mut ops = SimRng::new(9).stream("pool-ops");
+            let mut now = SimTime::ZERO;
+            let mut busy: Vec<ContainerId> = Vec::new();
+            let (mut checked, mut evicted, mut reordered) = (0, 0, 0);
+            for _ in 0..3_000 {
+                now += SimDuration::from_millis(ops.gen_range(0..90_000u64));
+                match ops.gen_range(0..3u32) {
+                    0 => busy.push(pool.acquire(now, &mut r, 0.2, false).id()),
+                    1 if !busy.is_empty() => {
+                        let id = busy.swap_remove(ops.gen_range(0..busy.len()));
+                        pool.release(id, now);
+                    }
+                    _ => {
+                        let unpartitioned = pool.containers.windows(2).any(|w| {
+                            w[0].state == ContainerState::Idle && w[1].state == ContainerState::Busy
+                        });
+                        let mut reference_rng = r.clone();
+                        let (expected, reference_evicted) =
+                            reference_advance(&pool, now, &mut reference_rng);
+                        let before = pool.evictions;
+                        pool.advance(now, &mut r);
+                        let ids = |cs: &[Container]| cs.iter().map(|c| c.id).collect::<Vec<_>>();
+                        assert_eq!(ids(&pool.containers), ids(&expected), "{policy:?}");
+                        assert_eq!(pool.containers, expected, "{policy:?}");
+                        assert_eq!(pool.evictions - before, reference_evicted, "{policy:?}");
+                        assert_eq!(
+                            r.clone().gen::<u64>(),
+                            reference_rng.gen::<u64>(),
+                            "{policy:?}: the next draw"
+                        );
+                        checked += 1;
+                        evicted += reference_evicted;
+                        reordered += u64::from(unpartitioned);
+                    }
+                }
+            }
+            assert!(checked > 800, "{policy:?}: {checked} advances compared");
+            assert!(
+                reordered > 0,
+                "{policy:?}: some advance moved busy containers ahead"
+            );
+            if policy != EvictionPolicy::Never {
+                assert!(evicted > 0, "{policy:?}: the policy evicted");
+            }
+        }
     }
 
     #[test]

@@ -251,9 +251,10 @@ impl<'a> InvocationCtx<'a> {
         self.record_io = true;
     }
 
-    /// The I/O events recorded so far (empty unless recording was enabled).
-    pub fn io_events(&self) -> &[IoEvent] {
-        &self.io_events
+    /// Ends the invocation, handing over the recorded I/O events without
+    /// copying them (empty, and unallocated, unless recording was enabled).
+    pub fn into_io_events(self) -> Vec<IoEvent> {
+        self.io_events
     }
 
     /// Adds `n` abstract work units (the kernel's "instructions executed").
@@ -459,8 +460,7 @@ mod tests {
         let mut ctx = InvocationCtx::new(&mut store, &mut rng);
         ctx.storage_put("b", "k", Bytes::from(vec![1u8; 8]))
             .unwrap();
-        assert!(ctx.io_events().is_empty());
-        drop(ctx);
+        assert!(ctx.into_io_events().is_empty());
         // On: events appear in issue order with sizes and latencies.
         let mut rng = SimRng::new(5).stream("h2");
         let mut ctx = InvocationCtx::new(&mut store, &mut rng);
@@ -469,7 +469,7 @@ mod tests {
         ctx.storage_put("b", "k2", Bytes::from(vec![2u8; 32]))
             .unwrap();
         ctx.external_io(SimDuration::from_millis(7));
-        let ev = ctx.io_events();
+        let ev = ctx.into_io_events();
         assert_eq!(ev.len(), 3);
         assert_eq!(ev[0].kind, IoKind::Get);
         assert_eq!((ev[0].bucket.as_str(), ev[0].key.as_str()), ("b", "k"));
