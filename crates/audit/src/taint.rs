@@ -49,7 +49,7 @@ pub const TAINT_ENTRY_POINTS: &[(&str, &str)] = &[
 pub const HOT_PATH_ENTRY_POINTS: &[(&str, &str)] = &[("Engine", "run"), ("*", "invoke_one")];
 
 /// File path prefixes the hot-path rule is confined to.
-pub const HOT_PATH_CRATES: &[&str] = &["crates/sim/", "crates/platform/"];
+pub const HOT_PATH_CRATES: &[&str] = &["crates/sim/", "crates/platform/", "crates/telemetry/"];
 
 /// Files exempt from taint sink detection: the sanctioned non-determinism.
 const SINK_EXEMPT_PREFIXES: &[&str] = &[
@@ -491,6 +491,39 @@ mod tests {
         let hot = hot_findings(body, body);
         assert_eq!(hot.len(), 1, "{hot:?}");
         assert!(hot[0].detail.starts_with("Vec::with_capacity allocation"));
+    }
+
+    #[test]
+    fn hot_path_follows_invoke_one_into_telemetry() {
+        let (g, src) = graph(&[
+            (
+                "crates/platform/src/platform.rs",
+                "sebs_platform",
+                "pub struct FaasPlatform { hub: MetricsHub }
+\
+                 impl FaasPlatform { fn invoke_one(&mut self) { self.hub.observe_ms(4.0); } }",
+            ),
+            (
+                "crates/telemetry/src/hub.rs",
+                "sebs_telemetry",
+                "pub struct MetricsHub;
+\
+                 impl MetricsHub { pub fn observe_ms(&mut self, ms: f64) { let b = vec![ms]; } }",
+            ),
+        ]);
+        let hot: Vec<Finding> = run_flow_rules(&g, &src)
+            .into_iter()
+            .filter(|f| f.rule == Rule::HotPathAllocation)
+            .collect();
+        assert_eq!(hot.len(), 1, "{hot:?}");
+        assert_eq!(hot[0].file, "crates/telemetry/src/hub.rs");
+        assert!(
+            hot[0].detail.ends_with(
+                "FaasPlatform::invoke_one -> sebs_telemetry::hub::MetricsHub::observe_ms"
+            ),
+            "{}",
+            hot[0].detail
+        );
     }
 
     #[test]

@@ -124,17 +124,34 @@ impl InvocationOutcome {
         matches!(self, InvocationOutcome::Success)
     }
 
+    /// Every [`InvocationOutcome::label`], indexed by
+    /// [`InvocationOutcome::ordinal`] — for metrics pre-registration.
+    pub(crate) const LABELS: [&'static str; 7] = [
+        "success",
+        "oom",
+        "timeout",
+        "throttled",
+        "unavailable",
+        "payload-too-large",
+        "function-error",
+    ];
+
+    /// The variant's position in [`InvocationOutcome::LABELS`].
+    pub(crate) fn ordinal(&self) -> usize {
+        match self {
+            InvocationOutcome::Success => 0,
+            InvocationOutcome::OutOfMemory { .. } => 1,
+            InvocationOutcome::Timeout => 2,
+            InvocationOutcome::Throttled => 3,
+            InvocationOutcome::ServiceUnavailable => 4,
+            InvocationOutcome::PayloadTooLarge { .. } => 5,
+            InvocationOutcome::FunctionError { .. } => 6,
+        }
+    }
+
     /// Stable kebab-case label for trace args and log lines.
     pub fn label(&self) -> &'static str {
-        match self {
-            InvocationOutcome::Success => "success",
-            InvocationOutcome::OutOfMemory { .. } => "oom",
-            InvocationOutcome::Timeout => "timeout",
-            InvocationOutcome::Throttled => "throttled",
-            InvocationOutcome::ServiceUnavailable => "unavailable",
-            InvocationOutcome::PayloadTooLarge { .. } => "payload-too-large",
-            InvocationOutcome::FunctionError { .. } => "function-error",
-        }
+        InvocationOutcome::LABELS[self.ordinal()]
     }
 
     /// Whether a client retry can plausibly change the outcome.

@@ -2,6 +2,7 @@
 //! execution, failures and billing in one place.
 
 use std::borrow::Cow;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
@@ -10,7 +11,7 @@ use sebs_resilience::{FaultInjector, FaultPlan, FaultyStore, InjectionCounts, Re
 use sebs_sim::rng::{Rng, StreamRng};
 use sebs_sim::{Phase, PhaseProfiler, SimDuration, SimRng, SimTime};
 use sebs_storage::{ObjectStorage, SimObjectStore, StorageOp};
-use sebs_telemetry::{MetricsChunk, MetricsHub};
+use sebs_telemetry::{CounterId, GaugeId, HistogramId, MetricsChunk, MetricsHub};
 use sebs_trace::{Admission, InvocationTrace, SamplerSpec, TraceSampler, TraceSpan};
 use sebs_workloads::{InvocationCtx, IoEvent, IoKind, Payload, Workload, WorkloadError};
 
@@ -62,6 +63,152 @@ struct Deployed {
     effective_memory_mb: u32,
     /// Position of the function's container pool in `FaasPlatform::pools`.
     pool: usize,
+}
+
+/// The metrics hub plus handles to the series the hot paths write, so an
+/// invocation or a sample boundary writes by index, never by name.
+struct PlatformMetrics {
+    hub: MetricsHub,
+    /// Per-invocation series, by `FunctionId`.
+    functions: Vec<FunctionSeries>,
+    /// Occupancy series, by position in `FaasPlatform::pools`.
+    pools: Vec<PoolSeries>,
+    /// `sebs_storage_requests_total` by op (get, put, list), then
+    /// `sebs_storage_bytes_total` by direction (in, out).
+    storage: [CounterId; 5],
+    /// `sebs_faults_injected_total`, in `InjectionCounts::entries` order.
+    faults: [CounterId; 4],
+}
+
+impl PlatformMetrics {
+    /// Wraps a hub, resolving the platform-wide storage and fault series.
+    fn new(mut hub: MetricsHub) -> PlatformMetrics {
+        let storage = [
+            ("sebs_storage_requests_total", ("op", "get")),
+            ("sebs_storage_requests_total", ("op", "put")),
+            ("sebs_storage_requests_total", ("op", "list")),
+            ("sebs_storage_bytes_total", ("direction", "in")),
+            ("sebs_storage_bytes_total", ("direction", "out")),
+        ]
+        .map(|(name, label)| hub.counter(name, &[label]));
+        let faults = InjectionCounts::default()
+            .entries()
+            .map(|(kind, _)| hub.counter("sebs_faults_injected_total", &[("kind", kind)]));
+        PlatformMetrics {
+            hub,
+            functions: Vec::new(),
+            pools: Vec::new(),
+            storage,
+            faults,
+        }
+    }
+
+    /// Resolves the series of the next deployed function.
+    fn track_function(&mut self, name: &str) {
+        let series = FunctionSeries::resolve(&mut self.hub, name);
+        self.functions.push(series);
+    }
+
+    /// Resolves the series of the next created pool.
+    fn track_pool(&mut self, name: &str) {
+        let series = PoolSeries::resolve(&mut self.hub, name);
+        self.pools.push(series);
+    }
+}
+
+/// Sets each counter whose external total has moved off zero. Counter
+/// snapshots at zero stay absent (Prometheus convention: a counter series
+/// appears on first increment) — otherwise an untouched platform would
+/// export all-zero storage counters and never count as idle.
+fn set_totals(hub: &mut MetricsHub, ids: &[CounterId], totals: &[u64]) {
+    for (&id, &total) in ids.iter().zip(totals) {
+        if total > 0 {
+            hub.set_counter(id, total as f64);
+        }
+    }
+}
+
+/// The `start` label of an invocation's start and latency series, by
+/// [`start_ordinal`].
+const START_LABELS: [&str; 3] = ["spurious_cold", "cold", "warm"];
+
+fn start_ordinal(start: StartKind, spurious: bool) -> usize {
+    match (start, spurious) {
+        (StartKind::Cold, true) => 0,
+        (StartKind::Cold, false) => 1,
+        (StartKind::Warm, _) => 2,
+    }
+}
+
+/// Handles to one function's per-invocation series.
+struct FunctionSeries {
+    /// `sebs_invocations_total`, by `InvocationOutcome::ordinal`.
+    invocations: [CounterId; InvocationOutcome::LABELS.len()],
+    /// `sebs_starts_total`, by `start_ordinal`.
+    starts: [CounterId; START_LABELS.len()],
+    /// `sebs_invocation_latency_ms`, by `start_ordinal`.
+    latency: [HistogramId; START_LABELS.len()],
+    billed_ms: CounterId,
+    gb_seconds: CounterId,
+    cost_usd: CounterId,
+    egress_bytes: CounterId,
+    burst: GaugeId,
+}
+
+impl FunctionSeries {
+    fn resolve(hub: &mut MetricsHub, name: &str) -> FunctionSeries {
+        let fun = [("function", name)];
+        FunctionSeries {
+            invocations: InvocationOutcome::LABELS.map(|outcome| {
+                hub.counter(
+                    "sebs_invocations_total",
+                    &[("function", name), ("outcome", outcome)],
+                )
+            }),
+            starts: START_LABELS.map(|kind| {
+                hub.counter("sebs_starts_total", &[("function", name), ("kind", kind)])
+            }),
+            latency: START_LABELS.map(|start| {
+                hub.histogram(
+                    "sebs_invocation_latency_ms",
+                    &[("function", name), ("start", start)],
+                )
+            }),
+            billed_ms: hub.counter("sebs_billed_duration_ms_total", &fun),
+            gb_seconds: hub.counter("sebs_billed_gb_seconds_total", &fun),
+            cost_usd: hub.counter("sebs_cost_usd_total", &fun),
+            egress_bytes: hub.counter("sebs_egress_bytes_total", &fun),
+            burst: hub.gauge("sebs_burst_concurrency", &fun),
+        }
+    }
+}
+
+/// Handles to one container pool's series.
+struct PoolSeries {
+    /// `sebs_containers_{warm,idle,active}`.
+    occupancy: [GaugeId; 3],
+    /// `sebs_pool_{cold_starts,warm_hits,evictions}_total`.
+    totals: [CounterId; 3],
+}
+
+impl PoolSeries {
+    fn resolve(hub: &mut MetricsHub, pool: &str) -> PoolSeries {
+        let labels = [("pool", pool)];
+        PoolSeries {
+            occupancy: [
+                "sebs_containers_warm",
+                "sebs_containers_idle",
+                "sebs_containers_active",
+            ]
+            .map(|name| hub.gauge(name, &labels)),
+            totals: [
+                "sebs_pool_cold_starts_total",
+                "sebs_pool_warm_hits_total",
+                "sebs_pool_evictions_total",
+            ]
+            .map(|name| hub.counter(name, &labels)),
+        }
+    }
 }
 
 /// The `PlatformLimits` scalars `invoke_one` reads, copied up front so the
@@ -139,7 +286,8 @@ pub struct FaasPlatform {
     // Pools sit in deployment order and each `Deployed` stores its pool's
     // position, so no invocation looks a pool up by name. The name index
     // (`fn:<id>` or `app:<name>`) serves only function-app sharing at
-    // deploy time and the name-ordered metrics refresh.
+    // deploy time and the labels of pools deployed before metrics were
+    // enabled.
     pools: Vec<ContainerPool>,
     pool_index: BTreeMap<String, usize>,
     storage: SimObjectStore,
@@ -173,7 +321,7 @@ pub struct FaasPlatform {
     profiler: Option<PhaseProfiler>,
     // Metrics collection shares the tracing contract: purely observational,
     // no RNG draw and no wall-clock read, so results never change with it.
-    metrics: Option<MetricsHub>,
+    metrics: Option<PlatformMetrics>,
     // The platform's root seed, kept so fault injection and retry state
     // can derive their own dedicated streams lazily.
     seed: u64,
@@ -322,10 +470,24 @@ impl FaasPlatform {
     /// `interval` of sim time. Like tracing, collection is purely
     /// observational — no RNG stream is touched and no wall clock is read,
     /// so enabling it cannot change any simulation result.
+    ///
+    /// Every deployed function's and pool's series is resolved to a handle
+    /// here (and each later one at deploy), so recording writes by index.
     pub fn enable_metrics(&mut self, interval: SimDuration) {
         let mut hub = MetricsHub::new(interval);
         self.set_info_gauges(&mut hub);
-        self.metrics = Some(hub);
+        let mut metrics = PlatformMetrics::new(hub);
+        for f in &self.functions {
+            metrics.track_function(&f.config.name);
+        }
+        let mut pool_names = vec![""; self.pools.len()];
+        for (name, &at) in &self.pool_index {
+            pool_names[at] = name;
+        }
+        for name in pool_names {
+            metrics.track_pool(name);
+        }
+        self.metrics = Some(metrics);
     }
 
     /// Static platform facts, exported once as info-gauges: the
@@ -359,10 +521,10 @@ impl FaasPlatform {
     /// taken. Returns `None` when collection is disabled.
     pub fn take_metrics(&mut self) -> Option<MetricsChunk> {
         self.refresh_observed_metrics(self.now);
-        let mut hub = self.metrics.take()?;
-        let chunk = hub.take_chunk(&self.profile.kind.to_string());
-        self.set_info_gauges(&mut hub);
-        self.metrics = Some(hub);
+        let mut metrics = self.metrics.take()?;
+        let chunk = metrics.hub.take_chunk(&self.profile.kind.to_string());
+        self.set_info_gauges(&mut metrics.hub);
+        self.metrics = Some(metrics);
         Some(chunk)
     }
 
@@ -370,12 +532,12 @@ impl FaasPlatform {
     /// refreshing the observed pool and storage metrics at each boundary.
     fn pump_metrics(&mut self, upto: SimTime) {
         loop {
-            let Some(due) = self.metrics.as_ref().and_then(|h| h.next_due(upto)) else {
+            let Some(due) = self.metrics.as_ref().and_then(|m| m.hub.next_due(upto)) else {
                 return;
             };
             self.refresh_observed_metrics(due);
-            if let Some(hub) = self.metrics.as_mut() {
-                hub.sample_at(due);
+            if let Some(metrics) = self.metrics.as_mut() {
+                metrics.hub.sample_at(due);
             }
         }
     }
@@ -384,113 +546,62 @@ impl FaasPlatform {
     /// and statistics, storage statistics — into the hub, as of instant
     /// `t`. Pure observation: pools are not advanced and no RNG is drawn.
     fn refresh_observed_metrics(&mut self, t: SimTime) {
-        if self.metrics.is_none() {
-            return;
-        }
-        let storage = self.storage.stats();
-        let fault_counts = self.faults.as_ref().map(|f| f.counts());
-        let Some(hub) = self.metrics.as_mut() else {
+        let Some(metrics) = self.metrics.as_mut() else {
             return;
         };
-        // Counter snapshots at zero stay absent (Prometheus convention:
-        // a counter series appears on first increment) — otherwise an
-        // untouched platform would export all-zero storage counters and
-        // never count as idle.
-        for (name, &at) in &self.pool_index {
-            let pool = &self.pools[at];
+        let hub = &mut metrics.hub;
+        for (pool, series) in self.pools.iter().zip(&metrics.pools) {
             let obs = pool.observe(t);
-            let labels = [("pool", name.as_str())];
-            hub.gauge_set("sebs_containers_warm", &labels, obs.warm as f64);
-            hub.gauge_set("sebs_containers_idle", &labels, obs.idle as f64);
-            hub.gauge_set("sebs_containers_active", &labels, obs.active as f64);
-            for (metric, value) in [
-                ("sebs_pool_cold_starts_total", pool.cold_starts),
-                ("sebs_pool_warm_hits_total", pool.warm_hits),
-                ("sebs_pool_evictions_total", pool.evictions),
-            ] {
-                if value > 0 {
-                    hub.counter_set(metric, &labels, value as f64);
-                }
+            for (id, value) in series
+                .occupancy
+                .into_iter()
+                .zip([obs.warm, obs.idle, obs.active])
+            {
+                hub.set_gauge(id, value as f64);
             }
+            let totals = [pool.cold_starts, pool.warm_hits, pool.evictions];
+            set_totals(hub, &series.totals, &totals);
         }
-        for (op, count) in [
-            ("get", storage.gets),
-            ("put", storage.puts),
-            ("list", storage.lists),
-        ] {
-            if count > 0 {
-                hub.counter_set("sebs_storage_requests_total", &[("op", op)], count as f64);
-            }
-        }
-        for (direction, bytes) in [("in", storage.bytes_in), ("out", storage.bytes_out)] {
-            if bytes > 0 {
-                hub.counter_set(
-                    "sebs_storage_bytes_total",
-                    &[("direction", direction)],
-                    bytes as f64,
-                );
-            }
-        }
-        if let Some(counts) = fault_counts {
-            for (kind, count) in counts.entries() {
-                if count > 0 {
-                    hub.counter_set(
-                        "sebs_faults_injected_total",
-                        &[("kind", kind)],
-                        count as f64,
-                    );
-                }
-            }
+        let s = self.storage.stats();
+        let storage = [s.gets, s.puts, s.lists, s.bytes_in, s.bytes_out];
+        set_totals(hub, &metrics.storage, &storage);
+        if let Some(faults) = self.faults.as_ref() {
+            let counts = faults.counts().entries().map(|(_, count)| count);
+            set_totals(hub, &metrics.faults, &counts);
         }
     }
 
     /// Records the per-invocation event metrics for one completed (or
     /// rejected) invocation.
-    fn record_invocation_metrics(&mut self, name: &str, record: &InvocationRecord, spurious: bool) {
-        let Some(hub) = self.metrics.as_mut() else {
+    fn record_invocation_metrics(
+        &mut self,
+        id: FunctionId,
+        record: &InvocationRecord,
+        spurious: bool,
+    ) {
+        let Some(PlatformMetrics { hub, functions, .. }) = self.metrics.as_mut() else {
             return;
         };
-        hub.counter_add(
-            "sebs_invocations_total",
-            &[("function", name), ("outcome", record.outcome.label())],
-            1.0,
-        );
+        let series = &functions[id.0 as usize];
+        hub.add(series.invocations[record.outcome.ordinal()], 1.0);
         if record.container.is_none() {
             // Rejected before a sandbox was acquired (payload limit,
             // throttle, availability): no start, no bill.
             return;
         }
-        let start = match (record.start, spurious) {
-            (StartKind::Cold, true) => "spurious_cold",
-            (StartKind::Cold, false) => "cold",
-            (StartKind::Warm, _) => "warm",
-        };
-        hub.counter_add(
-            "sebs_starts_total",
-            &[("function", name), ("kind", start)],
-            1.0,
-        );
-        hub.observe_ms(
-            "sebs_invocation_latency_ms",
-            &[("function", name), ("start", start)],
-            record.client_time.as_millis_f64(),
-        );
-        let fun = [("function", name)];
-        hub.counter_add(
-            "sebs_billed_duration_ms_total",
-            &fun,
+        let start = start_ordinal(record.start, spurious);
+        hub.add(series.starts[start], 1.0);
+        hub.observe(series.latency[start], record.client_time.as_millis_f64());
+        hub.add(
+            series.billed_ms,
             record.bill.billed_duration.as_millis_f64(),
         );
         let gb_s = record.bill.billed_memory_mb as f64 / 1024.0
             * record.bill.billed_duration.as_secs_f64();
-        hub.counter_add("sebs_billed_gb_seconds_total", &fun, gb_s);
-        hub.counter_add("sebs_cost_usd_total", &fun, record.bill.total_usd());
-        hub.counter_add(
-            "sebs_egress_bytes_total",
-            &fun,
-            record.response_bytes as f64,
-        );
-        hub.gauge_set("sebs_burst_concurrency", &fun, record.concurrency as f64);
+        hub.add(series.gb_seconds, gb_s);
+        hub.add(series.cost_usd, record.bill.total_usd());
+        hub.add(series.egress_bytes, record.response_bytes as f64);
+        hub.set_gauge(series.burst, record.concurrency as f64);
     }
 
     /// The provider profile in force.
@@ -553,12 +664,20 @@ impl FaasPlatform {
             (Some(app), true) => format!("app:{app}"),
             _ => format!("fn:{}", id.0),
         };
-        let pools = &mut self.pools;
-        let eviction = &self.profile.eviction;
-        let pool = *self.pool_index.entry(pool_key).or_insert_with(|| {
-            pools.push(ContainerPool::new(eviction.clone()));
-            pools.len() - 1
-        });
+        let pool = match self.pool_index.entry(pool_key) {
+            Entry::Occupied(shared) => *shared.get(),
+            Entry::Vacant(slot) => {
+                if let Some(metrics) = self.metrics.as_mut() {
+                    metrics.track_pool(slot.key());
+                }
+                self.pools
+                    .push(ContainerPool::new(self.profile.eviction.clone()));
+                *slot.insert(self.pools.len() - 1)
+            }
+        };
+        if let Some(metrics) = self.metrics.as_mut() {
+            metrics.track_function(&config.name);
+        }
         self.functions.push(Rc::new(Deployed {
             config,
             effective_memory_mb: effective,
@@ -823,7 +942,7 @@ impl FaasPlatform {
             };
             record.t_recv_client = (self.now + rtt).as_secs_f64();
             self.record_failure_trace(&deployed.config.name, &record);
-            self.record_invocation_metrics(&deployed.config.name, &record, false);
+            self.record_invocation_metrics(id, &record, false);
             return (record, None);
         }
 
@@ -833,7 +952,7 @@ impl FaasPlatform {
             record.client_time = rtt + req_transfer;
             record.t_recv_client = (self.now + record.client_time).as_secs_f64();
             self.record_failure_trace(&deployed.config.name, &record);
-            self.record_invocation_metrics(&deployed.config.name, &record, false);
+            self.record_invocation_metrics(id, &record, false);
             return (record, None);
         }
 
@@ -855,7 +974,7 @@ impl FaasPlatform {
             record.client_time = rtt + req_transfer + quirks.unavailable_penalty;
             record.t_recv_client = (self.now + record.client_time).as_secs_f64();
             self.record_failure_trace(&deployed.config.name, &record);
-            self.record_invocation_metrics(&deployed.config.name, &record, false);
+            self.record_invocation_metrics(id, &record, false);
             return (record, None);
         }
 
@@ -1089,7 +1208,7 @@ impl FaasPlatform {
             }
         }
 
-        self.record_invocation_metrics(&deployed.config.name, &record, spurious);
+        self.record_invocation_metrics(id, &record, spurious);
 
         let release_at = self.now + record.provider_time;
         (record, Some((acquired.id(), release_at)))
@@ -1324,7 +1443,7 @@ impl Attempt for BoxInvoker<'_> {
 
     fn metrics(&mut self) -> Option<(&mut MetricsHub, &str)> {
         let platform = &mut *self.platform;
-        let hub = platform.metrics.as_mut()?;
+        let hub = &mut platform.metrics.as_mut()?.hub;
         Some((hub, &platform.functions[self.id.0 as usize].config.name))
     }
 }
@@ -1669,6 +1788,10 @@ mod tests {
         assert_eq!((seen.warm, seen.idle), (1, 1), "f2 sees f1's container");
         assert_eq!(p.observe_pool(f1), seen);
 
+        // f2 starts on the shared pool too: both members write its series.
+        assert!(p.invoke(f2, &wl, &payload).outcome.is_success());
+        p.advance(SimDuration::from_secs(1));
+
         let chunk = p.take_metrics().expect("metrics enabled");
         let pools: Vec<&SeriesKey> = chunk
             .gauges
@@ -1679,12 +1802,113 @@ mod tests {
         let shared = [("pool".to_string(), "app:shared-app".to_string())];
         assert_eq!(pools.len(), 1, "one series for the shared pool: {pools:?}");
         assert_eq!(pools[0].labels, shared);
-        assert!(chunk.points.iter().all(|pt| {
-            !pt.series.name.starts_with("sebs_containers") || pt.series.labels == shared
-        }));
+        let pool_series = chunk
+            .counters
+            .iter()
+            .chain(&chunk.gauges)
+            .map(|(key, _)| key)
+            .chain(chunk.points.iter().map(|pt| &*pt.series))
+            .filter(|key| key.labels.iter().any(|(label, _)| label == "pool"));
+        assert!(pool_series.clone().all(|key| key.labels == shared));
+        let total = |name: &str| {
+            chunk
+                .counters
+                .iter()
+                .find(|(key, _)| key.name == name)
+                .map_or(0.0, |(_, v)| *v)
+        };
+        let starts = total("sebs_pool_cold_starts_total") + total("sebs_pool_warm_hits_total");
+        assert_eq!(starts, 2.0, "f1's cold start and f2's start, one pool");
+        let members: Vec<&str> = chunk
+            .counters
+            .iter()
+            .filter(|(key, _)| key.name == "sebs_invocations_total")
+            .flat_map(|(key, _)| &key.labels)
+            .filter(|(label, _)| label == "function")
+            .map(|(_, name)| name.as_str())
+            .collect();
+        assert_eq!(members, ["f1", "f2"], "per-function series stay apart");
 
         p.enforce_cold_start(f1);
         assert_eq!(p.observe_pool(f2), PoolObservation::default());
+    }
+
+    #[test]
+    fn enabling_metrics_after_deploy_gives_the_same_chunk() {
+        let run = |enable_first: bool| {
+            let mut p = FaasPlatform::new(ProviderProfile::azure(), 9);
+            if enable_first {
+                p.enable_metrics(SimDuration::from_secs(1));
+            }
+            let ids: Vec<FunctionId> = [("solo", None), ("b", Some("app")), ("c", Some("app"))]
+                .into_iter()
+                .map(|(name, app)| {
+                    let config = FunctionConfig::new(name, Language::Python, 512);
+                    let config = match app {
+                        Some(app) => config.in_app(app),
+                        None => config,
+                    };
+                    p.deploy(config).unwrap()
+                })
+                .collect();
+            if !enable_first {
+                p.enable_metrics(SimDuration::from_secs(1));
+            }
+            let wl = DynamicHtml::new(Language::Python);
+            let payload = p.prepare(&wl, Scale::Test);
+            for (step, &id) in ids.iter().cycle().take(12).enumerate() {
+                p.invoke(id, &wl, &payload);
+                p.advance(SimDuration::from_millis(400 * step as u64));
+            }
+            p.take_metrics().expect("metrics enabled")
+        };
+        let (before, after) = (run(true), run(false));
+        assert!(!before.points.is_empty());
+        assert_eq!(before, after);
+        assert_eq!(format!("{before:?}"), format!("{after:?}"));
+    }
+
+    #[test]
+    fn handles_outlive_a_drain_and_series_return_on_their_next_write() {
+        let mut p = aws();
+        p.enable_metrics(SimDuration::from_secs(10));
+        let (fid, wl, payload) = deploy_html(&mut p, 512);
+        let per_invocation = |chunk: &MetricsChunk| -> Vec<String> {
+            let keys = chunk.counters.iter().chain(&chunk.gauges).map(|(k, _)| k);
+            keys.chain(chunk.histograms.iter().map(|(k, _)| k))
+                .chain(chunk.points.iter().map(|pt| &*pt.series))
+                .filter(|k| k.labels.iter().any(|(label, _)| label == "function"))
+                .map(|k| k.name.clone())
+                .collect()
+        };
+        p.invoke(fid, &wl, &payload);
+        p.advance(SimDuration::from_secs(10));
+        assert!(!per_invocation(&p.take_metrics().expect("metrics enabled")).is_empty());
+
+        // No invocation since the drain: every per-invocation series is
+        // dormant, in the snapshot and in the samples alike.
+        p.advance(SimDuration::from_secs(30));
+        let quiet = p.take_metrics().expect("metrics enabled");
+        assert_eq!(per_invocation(&quiet), Vec::<String>::new());
+        assert!(!quiet.points.is_empty(), "the pool series were sampled");
+
+        // The next invocation writes through the handles resolved at
+        // deploy, and each series holds that invocation alone.
+        let record = p.invoke(fid, &wl, &payload);
+        let next = p.take_metrics().expect("metrics enabled");
+        let counter = |name: &str| {
+            next.counters
+                .iter()
+                .find(|(k, _)| k.name == name)
+                .map(|(_, v)| *v)
+        };
+        assert_eq!(counter("sebs_invocations_total"), Some(1.0));
+        assert_eq!(
+            counter("sebs_billed_duration_ms_total"),
+            Some(record.bill.billed_duration.as_millis_f64())
+        );
+        assert_eq!(next.histograms.len(), 1);
+        assert_eq!(next.histograms[0].1.count(), 1);
     }
 
     #[test]

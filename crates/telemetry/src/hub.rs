@@ -1,5 +1,9 @@
 //! The [`MetricsHub`]: one platform's metric scope plus the sim-clock
-//! sampler that turns registered gauges and counters into time series.
+//! sampler that turns written gauges and counters into time series.
+//!
+//! Owners resolve each series they write often to a handle once (at
+//! deploy time, say) and write through it; the name-keyed methods resolve
+//! and write in one call, for series written rarely.
 //!
 //! Sampling is driven entirely by the *simulator* clock: the owner asks
 //! [`MetricsHub::next_due`] for the next interval boundary at or below its
@@ -12,7 +16,7 @@ use std::sync::Arc;
 
 use sebs_sim::{SimDuration, SimTime};
 
-use crate::registry::{MetricsRegistry, SeriesKey};
+use crate::registry::{CounterId, GaugeId, HistogramId, MetricsRegistry, SeriesKey};
 use crate::sink::MetricsChunk;
 
 /// Default gauge-sampling interval: one sim-second.
@@ -65,9 +69,11 @@ impl MetricsHub {
         (due <= upto).then_some(due)
     }
 
-    /// Snapshots every counter and gauge into the time series at `t` and
-    /// advances the sampling cursor. Histograms are final-snapshot-only
-    /// (they already aggregate over time) and are not sampled per tick.
+    /// Snapshots every written counter, then every written gauge, each in
+    /// key order, into the time series at `t` and advances the sampling
+    /// cursor. Dormant series are skipped. Histograms are
+    /// final-snapshot-only (they already aggregate over time) and are not
+    /// sampled per tick.
     pub fn sample_at(&mut self, t: SimTime) {
         for (k, v) in self.registry.sampled_series() {
             self.points.push(MetricPoint {
@@ -79,22 +85,62 @@ impl MetricsHub {
         self.ticks += 1;
     }
 
+    /// The handle of counter `(name, labels)`, registering it on first
+    /// sight; it stays out of samples and exports until written.
+    pub fn counter(&mut self, name: &str, labels: &[(&str, &str)]) -> CounterId {
+        self.registry.counter(name, labels)
+    }
+
+    /// The handle of gauge `(name, labels)`; see [`MetricsHub::counter`].
+    pub fn gauge(&mut self, name: &str, labels: &[(&str, &str)]) -> GaugeId {
+        self.registry.gauge(name, labels)
+    }
+
+    /// The handle of histogram `(name, labels)`; see [`MetricsHub::counter`].
+    pub fn histogram(&mut self, name: &str, labels: &[(&str, &str)]) -> HistogramId {
+        self.registry.histogram(name, labels)
+    }
+
     /// Adds to a monotone counter.
+    #[inline]
+    pub fn add(&mut self, id: CounterId, v: f64) {
+        self.registry.add(id, v);
+    }
+
+    /// Sets a counter maintained by an external monotone source.
+    #[inline]
+    pub fn set_counter(&mut self, id: CounterId, v: f64) {
+        self.registry.set_counter(id, v);
+    }
+
+    /// Sets a gauge.
+    #[inline]
+    pub fn set_gauge(&mut self, id: GaugeId, v: f64) {
+        self.registry.set_gauge(id, v);
+    }
+
+    /// Observes a histogram value in sim-milliseconds.
+    #[inline]
+    pub fn observe(&mut self, id: HistogramId, ms: f64) {
+        self.registry.observe(id, ms);
+    }
+
+    /// Adds to a monotone counter, by name.
     pub fn counter_add(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
         self.registry.counter_add(name, labels, v);
     }
 
-    /// Sets a counter maintained by an external monotone source.
+    /// Sets a counter maintained by an external monotone source, by name.
     pub fn counter_set(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
         self.registry.counter_set(name, labels, v);
     }
 
-    /// Sets a gauge.
+    /// Sets a gauge, by name.
     pub fn gauge_set(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
         self.registry.gauge_set(name, labels, v);
     }
 
-    /// Observes a histogram value in sim-milliseconds.
+    /// Observes a histogram value in sim-milliseconds, by name.
     pub fn observe_ms(&mut self, name: &str, labels: &[(&str, &str)], ms: f64) {
         self.registry.observe_ms(name, labels, ms);
     }
@@ -109,30 +155,28 @@ impl MetricsHub {
         &self.points
     }
 
-    /// Drains everything recorded so far into a chunk, like
-    /// [`MetricsHub::into_chunk`], and leaves an empty hub that keeps the
-    /// interval and the sampling cursor: the next sample is the next
-    /// boundary after the last one taken, never a boundary already past.
+    /// Drains everything written so far into a chunk tagged with the
+    /// owning provider (and no cell — grid drivers tag cells afterwards).
+    /// The hub keeps its interval, its sampling cursor and every
+    /// registered series: handles stay valid, each series is dormant until
+    /// its next write, and the next sample is the next boundary after the
+    /// last one taken, never a boundary already past.
     pub fn take_chunk(&mut self, provider: &str) -> MetricsChunk {
-        let rest = MetricsHub {
-            ticks: self.ticks,
-            ..MetricsHub::new(self.interval)
-        };
-        std::mem::replace(self, rest).into_chunk(provider)
-    }
-
-    /// Consumes the hub into an exportable chunk tagged with the owning
-    /// provider (and no cell — grid drivers tag cells afterwards).
-    pub fn into_chunk(self, provider: &str) -> MetricsChunk {
-        let (counters, gauges, histograms) = self.registry.into_parts();
+        let (counters, gauges, histograms) = self.registry.drain();
         MetricsChunk {
             provider: provider.to_string(),
             cell: None,
             counters,
             gauges,
             histograms,
-            points: self.points,
+            points: std::mem::take(&mut self.points),
         }
+    }
+
+    /// Consumes the hub into an exportable chunk; see
+    /// [`MetricsHub::take_chunk`].
+    pub fn into_chunk(mut self, provider: &str) -> MetricsChunk {
+        self.take_chunk(provider)
     }
 }
 

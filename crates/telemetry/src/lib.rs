@@ -27,14 +27,22 @@
 //! ## Layout
 //!
 //! * [`MetricsRegistry`] — counters, gauges and sim-time-bucketed
-//!   [`SimHistogram`]s keyed by `(name, sorted labels)`.
+//!   [`SimHistogram`]s keyed by `(name, sorted labels)` in a key-ordered
+//!   index. Resolving a series returns a typed handle ([`CounterId`],
+//!   [`GaugeId`], [`HistogramId`]) whose writes are indexed stores; a
+//!   registered series is dormant, absent from every export, until its
+//!   first write, and a drain returns it to dormant without invalidating
+//!   its handle.
 //! * [`MetricsHub`] — a registry plus the sim-clock sampler producing
-//!   [`MetricPoint`] time series at a configurable interval.
+//!   [`MetricPoint`] time series at a configurable interval. It writes
+//!   through handles or, for rarely written series, by name.
 //! * [`MetricsChunk`] / [`MetricsSink`] — drained hubs tagged with
 //!   provider and cell, merged in canonical order.
 //! * [`prometheus_text`] — final-snapshot Prometheus text exposition.
 //! * [`csv_timeseries`] — RFC-4180 CSV of the sampled time series.
 
+#[cfg(test)]
+mod equivalence;
 mod fmt;
 mod histogram;
 mod hub;
@@ -47,7 +55,7 @@ pub mod csv;
 pub use histogram::{SimHistogram, DEFAULT_LATENCY_BOUNDS_MS};
 pub use hub::{MetricPoint, MetricsHub, DEFAULT_SAMPLE_INTERVAL};
 pub use prom::prometheus_text;
-pub use registry::{MetricsRegistry, SeriesKey};
+pub use registry::{CounterId, GaugeId, HistogramId, MetricsRegistry, SeriesKey};
 pub use sink::{MetricsChunk, MetricsSink};
 
 pub use csv::csv_timeseries;

@@ -1,12 +1,18 @@
 //! The metric registry: counters, gauges and histograms keyed by
-//! `(name, sorted labels)`.
+//! `(name, sorted labels)` and written through handles.
 //!
-//! Everything lives in `BTreeMap`s so iteration order — and therefore
-//! every export — is a pure function of the recorded data, never of
-//! insertion order or hashing. Each counter and gauge key is allocated
-//! once, when its series is created, and shared behind an `Arc` with
-//! every sampled [`crate::MetricPoint`] of that series.
+//! Resolving `(name, labels)` registers the series once, in a key-ordered
+//! `BTreeMap` index, and returns a typed handle ([`CounterId`],
+//! [`GaugeId`], [`HistogramId`]): the series' slot in a value `Vec`, so
+//! every later write is an indexed store. A registered series is
+//! *dormant* — absent from samples and exports — until its first write.
+//! A drain keeps the index and the handles and returns every slot to
+//! dormant. Walking the index yields key order, so every export is a pure
+//! function of the recorded data, never of registration order or hashing.
+//! Each key is allocated once, at registration, and shared behind an
+//! `Arc` with every sampled [`crate::MetricPoint`] of that series.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -45,46 +51,99 @@ impl SeriesKey {
     }
 }
 
+/// Handle of a registered counter: its slot in the registry that issued
+/// it. Valid for that registry (or hub) only, across every drain.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CounterId(usize);
+
+/// Handle of a registered gauge; see [`CounterId`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GaugeId(usize);
+
+/// Handle of a registered histogram; see [`CounterId`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HistogramId(usize);
+
+/// One metric family: a key-ordered index of its registered series and
+/// one value slot per series, in registration order.
+#[derive(Debug, Clone)]
+struct Family<T> {
+    index: BTreeMap<Arc<SeriesKey>, usize>,
+    slots: Vec<T>,
+}
+
+impl<T> Default for Family<T> {
+    fn default() -> Family<T> {
+        Family {
+            index: BTreeMap::new(),
+            slots: Vec::new(),
+        }
+    }
+}
+
+impl<T> Family<T> {
+    /// The slot of `(name, labels)`, registered as `dormant` on first sight.
+    fn resolve(
+        &mut self,
+        name: &str,
+        labels: &[(&str, &str)],
+        dormant: impl FnOnce() -> T,
+    ) -> usize {
+        match self.index.entry(Arc::new(SeriesKey::new(name, labels))) {
+            Entry::Occupied(series) => *series.get(),
+            Entry::Vacant(series) => {
+                let at = self.slots.len();
+                self.slots.push(dormant());
+                *series.insert(at)
+            }
+        }
+    }
+
+    /// The written series in key order, with the value `read` finds in
+    /// each slot (`None` for a dormant one).
+    fn live<'a, V>(
+        &'a self,
+        read: impl Fn(&'a T) -> Option<V> + 'a,
+    ) -> impl Iterator<Item = (&'a Arc<SeriesKey>, V)> + 'a {
+        self.index
+            .iter()
+            .filter_map(move |(k, &at)| read(&self.slots[at]).map(|v| (k, v)))
+    }
+
+    /// Takes every written value in key order, leaving its slot dormant.
+    fn drain<V>(&mut self, mut take: impl FnMut(&mut T) -> Option<V>) -> Vec<(SeriesKey, V)> {
+        let slots = &mut self.slots;
+        self.index
+            .iter()
+            .filter_map(|(k, &at)| take(&mut slots[at]).map(|v| (SeriesKey::clone(k), v)))
+            .collect()
+    }
+}
+
+/// A histogram slot is written once it holds an observation.
+fn observed(h: &SimHistogram) -> Option<&SimHistogram> {
+    (h.count() > 0).then_some(h)
+}
+
 /// The three metric families of one collection scope.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
-    counters: BTreeMap<Arc<SeriesKey>, f64>,
-    gauges: BTreeMap<Arc<SeriesKey>, f64>,
-    histograms: BTreeMap<SeriesKey, SimHistogram>,
-    // Reusable lookup key: record calls fill it in place (keeping every
-    // String's capacity) and only clone it when a series is first created,
-    // so steady-state recording against existing series allocates nothing.
-    scratch: SeriesKey,
+    // A counter or gauge slot is `None` while dormant; a histogram slot is
+    // preallocated at registration and dormant while it counts nothing, so
+    // no write allocates.
+    counters: Family<Option<f64>>,
+    gauges: Family<Option<f64>>,
+    histograms: Family<SimHistogram>,
 }
 
-// Equality compares recorded data only; the scratch key is an internal
-// buffer whose residual contents are irrelevant.
+// Equality compares written data only: which dormant series happen to be
+// registered is not recorded data.
 impl PartialEq for MetricsRegistry {
     fn eq(&self, other: &Self) -> bool {
-        self.counters == other.counters
-            && self.gauges == other.gauges
-            && self.histograms == other.histograms
+        self.counters().eq(other.counters())
+            && self.gauges().eq(other.gauges())
+            && self.histograms().eq(other.histograms())
     }
-}
-
-/// Rebuilds `scratch` as the canonical key for `(name, labels)` without
-/// allocating (beyond first-use growth of the retained buffers).
-fn fill_scratch(scratch: &mut SeriesKey, name: &str, labels: &[(&str, &str)]) {
-    scratch.name.clear();
-    scratch.name.push_str(name);
-    scratch.labels.truncate(labels.len());
-    while scratch.labels.len() < labels.len() {
-        scratch.labels.push((String::new(), String::new()));
-    }
-    for ((k, v), slot) in labels.iter().zip(scratch.labels.iter_mut()) {
-        slot.0.clear();
-        slot.0.push_str(k);
-        slot.1.clear();
-        slot.1.push_str(v);
-    }
-    // Unstable sort gives the same canonical order as `SeriesKey::new`:
-    // equal pairs are indistinguishable, so stability cannot matter.
-    scratch.labels.sort_unstable();
 }
 
 impl MetricsRegistry {
@@ -93,103 +152,130 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// Adds `v` (≥ 0) to a monotone counter, creating it at zero.
-    pub fn counter_add(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
-        debug_assert!(v >= 0.0, "counters only grow: {name} += {v}");
-        fill_scratch(&mut self.scratch, name, labels);
-        match self.counters.get_mut(&self.scratch) {
-            Some(slot) => *slot += v,
-            None => {
-                self.counters.insert(Arc::new(self.scratch.clone()), v);
-            }
-        }
+    /// The handle of counter `(name, labels)`, registering the series on
+    /// first sight. A registered series stays out of every sample and
+    /// export until its first write.
+    pub(crate) fn counter(&mut self, name: &str, labels: &[(&str, &str)]) -> CounterId {
+        CounterId(self.counters.resolve(name, labels, || None))
+    }
+
+    /// The handle of gauge `(name, labels)`; see [`MetricsRegistry::counter`].
+    pub(crate) fn gauge(&mut self, name: &str, labels: &[(&str, &str)]) -> GaugeId {
+        GaugeId(self.gauges.resolve(name, labels, || None))
+    }
+
+    /// The handle of histogram `(name, labels)`, with the default latency
+    /// buckets; see [`MetricsRegistry::counter`].
+    pub(crate) fn histogram(&mut self, name: &str, labels: &[(&str, &str)]) -> HistogramId {
+        HistogramId(
+            self.histograms
+                .resolve(name, labels, SimHistogram::latency_ms),
+        )
+    }
+
+    /// Adds `v` (≥ 0) to a monotone counter. The first write stores `v`
+    /// itself.
+    #[inline]
+    pub(crate) fn add(&mut self, id: CounterId, v: f64) {
+        debug_assert!(v >= 0.0, "counters only grow: {id:?} += {v}");
+        let slot = &mut self.counters.slots[id.0];
+        *slot = Some(slot.map_or(v, |c| c + v));
     }
 
     /// Sets a counter to an absolute value — for sources that maintain
     /// their own monotone count (pool statistics, storage statistics).
-    pub fn counter_set(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
-        fill_scratch(&mut self.scratch, name, labels);
-        match self.counters.get_mut(&self.scratch) {
-            Some(slot) => *slot = v,
-            None => {
-                self.counters.insert(Arc::new(self.scratch.clone()), v);
-            }
-        }
+    #[inline]
+    pub(crate) fn set_counter(&mut self, id: CounterId, v: f64) {
+        self.counters.slots[id.0] = Some(v);
     }
 
     /// Sets a gauge to its current value.
+    #[inline]
+    pub(crate) fn set_gauge(&mut self, id: GaugeId, v: f64) {
+        self.gauges.slots[id.0] = Some(v);
+    }
+
+    /// Records one observation, in milliseconds of sim time.
+    #[inline]
+    pub(crate) fn observe(&mut self, id: HistogramId, ms: f64) {
+        self.histograms.slots[id.0].observe(ms);
+    }
+
+    /// Adds `v` (≥ 0) to counter `(name, labels)`, registering it on
+    /// first sight. Each call builds the key to resolve it; series written
+    /// often are written through handles instead.
+    pub fn counter_add(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
+        let id = self.counter(name, labels);
+        self.add(id, v);
+    }
+
+    /// Sets counter `(name, labels)` to an absolute value.
+    pub fn counter_set(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
+        let id = self.counter(name, labels);
+        self.set_counter(id, v);
+    }
+
+    /// Sets gauge `(name, labels)`.
     pub fn gauge_set(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
-        fill_scratch(&mut self.scratch, name, labels);
-        match self.gauges.get_mut(&self.scratch) {
-            Some(slot) => *slot = v,
-            None => {
-                self.gauges.insert(Arc::new(self.scratch.clone()), v);
-            }
-        }
+        let id = self.gauge(name, labels);
+        self.set_gauge(id, v);
     }
 
-    /// Records one observation (in milliseconds of sim time) into a
-    /// histogram with the default latency buckets.
+    /// Records one observation, in sim-milliseconds, into histogram
+    /// `(name, labels)` with the default latency buckets.
     pub fn observe_ms(&mut self, name: &str, labels: &[(&str, &str)], ms: f64) {
-        fill_scratch(&mut self.scratch, name, labels);
-        match self.histograms.get_mut(&self.scratch) {
-            Some(h) => h.observe(ms),
-            None => {
-                let mut h = SimHistogram::latency_ms();
-                h.observe(ms);
-                self.histograms.insert(self.scratch.clone(), h);
-            }
-        }
+        let id = self.histogram(name, labels);
+        self.observe(id, ms);
     }
 
-    /// Counters in key order.
+    /// Written counters in key order.
     pub fn counters(&self) -> impl Iterator<Item = (&SeriesKey, f64)> {
-        self.counters.iter().map(|(k, &v)| (&**k, v))
+        self.counters.live(|v| *v).map(|(k, v)| (&**k, v))
     }
 
-    /// Gauges in key order.
+    /// Written gauges in key order.
     pub fn gauges(&self) -> impl Iterator<Item = (&SeriesKey, f64)> {
-        self.gauges.iter().map(|(k, &v)| (&**k, v))
+        self.gauges.live(|v| *v).map(|(k, v)| (&**k, v))
     }
 
-    /// Histograms in key order.
+    /// Observed histograms in key order.
     pub fn histograms(&self) -> impl Iterator<Item = (&SeriesKey, &SimHistogram)> {
-        self.histograms.iter()
+        self.histograms.live(observed).map(|(k, h)| (&**k, h))
     }
 
-    /// Counters, then gauges, each in key order, with their shared keys:
-    /// the series the hub samples every tick.
+    /// Written counters, then written gauges, each in key order, with
+    /// their shared keys: the series the hub samples every tick.
     pub(crate) fn sampled_series(&self) -> impl Iterator<Item = (&Arc<SeriesKey>, f64)> {
-        self.counters
-            .iter()
-            .chain(&self.gauges)
-            .map(|(k, &v)| (k, v))
+        self.counters.live(|v| *v).chain(self.gauges.live(|v| *v))
     }
 
-    /// `true` when nothing has been recorded.
+    /// `true` when nothing has been written since registration or the
+    /// last drain.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
+        self.counters().next().is_none()
+            && self.gauges().next().is_none()
+            && self.histograms().next().is_none()
     }
 
-    /// Consumes the registry into its sorted family vectors.
+    /// Takes every written series into sorted family vectors and leaves
+    /// each slot dormant: the index and every handle stay valid, and a
+    /// series reappears on its next write.
     #[allow(clippy::type_complexity)]
-    pub fn into_parts(
-        self,
+    pub(crate) fn drain(
+        &mut self,
     ) -> (
         Vec<(SeriesKey, f64)>,
         Vec<(SeriesKey, f64)>,
         Vec<(SeriesKey, SimHistogram)>,
     ) {
         (
-            self.counters
-                .into_iter()
-                .map(|(k, v)| (Arc::unwrap_or_clone(k), v))
-                .collect(),
-            self.gauges
-                .into_iter()
-                .map(|(k, v)| (Arc::unwrap_or_clone(k), v))
-                .collect(),
-            self.histograms.into_iter().collect(),
+            self.counters.drain(Option::take),
+            self.gauges.drain(Option::take),
+            self.histograms.drain(|h| {
+                observed(h)?;
+                let fresh = SimHistogram::new(h.bounds());
+                Some(std::mem::replace(h, fresh))
+            }),
         )
     }
 }
