@@ -12,12 +12,16 @@
 //!   inference, so they fan out to every workspace `impl` function with
 //!   that name (class-hierarchy analysis). This over-approximates — which
 //!   is the right direction for a determinism gate: a laundered wall-clock
-//!   read is found even when the receiver type is unknown.
+//!   read is found even when the receiver type is unknown. The one receiver
+//!   whose type is known is `self`: inside `impl T`, `self.m(…)` resolves
+//!   to `T::m` when `T` defines `m` (inherent methods win in Rust), and
+//!   fans out otherwise. Inside a trait's default method `self` is any
+//!   implementor, so those calls still fan out.
 //!
 //! Test functions neither emit nor receive edges: the graph models the
 //! product, not the harness.
 
-use crate::parse::ParsedFile;
+use crate::parse::{ItemKind, ParsedFile};
 use crate::token::{Tok, TokKind};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -124,6 +128,12 @@ impl SymbolGraph {
         let mut methods: BTreeMap<String, Vec<usize>> = BTreeMap::new();
         let mut modules: BTreeSet<(String, Vec<String>)> = BTreeSet::new();
         let crate_idents: BTreeSet<String> = files.iter().map(|f| f.crate_ident.clone()).collect();
+        let traits: BTreeSet<&str> = files
+            .iter()
+            .flat_map(|f| &f.parsed.items)
+            .filter(|item| item.kind == ItemKind::Trait)
+            .map(|item| item.name.as_str())
+            .collect();
         for (id, s) in symbols.iter().enumerate() {
             if s.is_test {
                 continue;
@@ -170,8 +180,13 @@ impl SymbolGraph {
                     Call::Path(segs) => {
                         out.extend(resolver.resolve_path(&segs, s, f));
                     }
-                    Call::Method(name) => {
-                        if let Some(ids) = resolver.methods.get(&name) {
+                    Call::Method { name, on_self } => {
+                        let own = s
+                            .impl_ctx
+                            .as_ref()
+                            .filter(|ty| on_self && !traits.contains(ty.as_str()))
+                            .and_then(|ty| resolver.assoc_fns.get(&(ty.clone(), name.clone())));
+                        if let Some(ids) = own.or_else(|| resolver.methods.get(&name)) {
                             out.extend(ids.iter().copied());
                         }
                     }
@@ -409,8 +424,8 @@ impl Resolver {
 enum Call {
     /// `a::b::name(` with all written segments.
     Path(Vec<String>),
-    /// `.name(`.
-    Method(String),
+    /// `.name(`; `on_self` when the receiver is `self` itself.
+    Method { name: String, on_self: bool },
 }
 
 /// Extracts call sites from a body token slice.
@@ -430,7 +445,10 @@ fn extract_calls(toks: &[Tok]) -> Vec<Call> {
                         j = skip_turbofish(toks, j + 1);
                     }
                     if toks.get(j).is_some_and(|t| t.is_punct("(")) {
-                        out.push(Call::Method(n.text.clone()));
+                        out.push(Call::Method {
+                            name: n.text.clone(),
+                            on_self: i > 0 && toks[i - 1].is_ident("self"),
+                        });
                     }
                 }
             }
@@ -590,6 +608,40 @@ mod tests {
         let pred = g.reach(&roots, &[]);
         let helper = g.symbols.iter().position(|s| s.name == "helper").unwrap();
         assert!(pred[helper].is_some(), "CHA edge then path call");
+    }
+
+    #[test]
+    fn self_method_calls_resolve_to_the_impl_type() {
+        let g = SymbolGraph::build(vec![file(
+            "crates/a/src/lib.rs",
+            "a",
+            "lib.rs",
+            "pub struct Pool;\n\
+             impl Pool { pub fn acquire(&mut self) { self.advance(); } fn advance(&mut self) {} \
+             pub fn drain(&self) { self.tick(); } }\n\
+             pub struct Platform;\n\
+             impl Platform { pub fn advance(&mut self) { pump(); } }\n\
+             fn pump() {}\n\
+             pub trait Tick { fn tick(&self); fn run(&self) { self.tick(); } }\n\
+             impl Tick for Platform { fn tick(&self) { pump(); } }",
+        )]);
+        let id = |ty: &str, name: &str| {
+            g.symbols
+                .iter()
+                .position(|s| s.impl_ctx.as_deref() == Some(ty) && s.name == name)
+                .unwrap()
+        };
+        let reached_from = |ty: &str, name: &str| g.reach(&g.find_entry_points(&[(ty, name)]), &[]);
+        let pred = reached_from("Pool", "acquire");
+        assert!(pred[id("Pool", "advance")].is_some());
+        assert!(
+            pred[id("Platform", "advance")].is_none(),
+            "self.advance() in impl Pool reaches only Pool::advance"
+        );
+        // `Pool` defines no `tick`, so the call fans out as before.
+        assert!(reached_from("Pool", "drain")[id("Platform", "tick")].is_some());
+        // In a trait's default method `self` is any implementor.
+        assert!(reached_from("Tick", "run")[id("Platform", "tick")].is_some());
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //!   inside the repository (`path = …` or `workspace = true`); registry
 //!   version strings and git dependencies break offline builds.
 //! * **wall-clock** — `Instant::now` / `SystemTime::now` are forbidden
-//!   outside the cloud clock shim; simulated components must take time from
-//!   the virtual clock so runs are reproducible.
+//!   in every file; simulated components must take time from the virtual
+//!   clock so runs are reproducible.
 //! * **ambient-randomness** — OS-seeded randomness (`thread_rng`,
 //!   `from_entropy`, `getrandom`, `RandomState`, any `rand::` path) is
 //!   forbidden; all randomness flows from a [`SimRng`] seed.
@@ -18,8 +18,8 @@
 //!   must either be refactored away or carry an explicit
 //!   `audit:allow(panic-hygiene)` justification.
 //! * **instant-usage** — naming `std::time::Instant` at all (imports,
-//!   type positions, not just `::now()` calls) is forbidden outside the
-//!   cloud clock shim; wall-time measurement belongs to the bench harness,
+//!   type positions, not just `::now()` calls) is forbidden in every file;
+//!   wall-time measurement belongs to the bench harness,
 //!   and each of its timer sites carries an explicit
 //!   `audit:allow(instant-usage)` so every host-clock read stays visible
 //!   in the audit report.
@@ -215,8 +215,6 @@ pub fn is_suppressed(finding: &Finding, allows: &[Allow]) -> bool {
 /// Scope switches for one Rust file, derived from its workspace path.
 #[derive(Debug, Clone, Copy)]
 pub struct FileScope {
-    /// Wall-clock calls are legal here (the cloud clock shim).
-    pub clock_shim: bool,
     /// File is library code: under `crates/*/src/` but not `src/bin/`.
     pub library: bool,
     /// File belongs to a crate whose iteration order must be deterministic.
@@ -231,7 +229,6 @@ impl FileScope {
     pub fn classify(path: &str) -> FileScope {
         let in_crate_src = path.starts_with("crates/") && path.split('/').nth(2) == Some("src");
         FileScope {
-            clock_shim: path == "crates/cloud/src/clock.rs",
             library: in_crate_src && !path.contains("/src/bin/"),
             deterministic_core: [
                 "sim",
@@ -286,15 +283,13 @@ pub fn audit_rust_source(path: &str, source: &str) -> (Vec<Finding>, Vec<Allow>)
 
     for (idx, l) in lines.iter().enumerate() {
         let mut push = |rule: Rule| findings.push(Finding::new(rule, path, idx + 1, snippet(idx)));
-        if !scope.clock_shim {
-            for pat in WALL_CLOCK_TOKENS {
-                if contains_token(&l.code, pat) {
-                    push(Rule::WallClock);
-                }
+        for pat in WALL_CLOCK_TOKENS {
+            if contains_token(&l.code, pat) {
+                push(Rule::WallClock);
             }
-            if l.code.contains(INSTANT_TOKEN) {
-                push(Rule::InstantUsage);
-            }
+        }
+        if l.code.contains(INSTANT_TOKEN) {
+            push(Rule::InstantUsage);
         }
         for pat in RANDOMNESS_TOKENS {
             if contains_token(&l.code, pat) {
@@ -431,14 +426,15 @@ let u = std::time::SystemTime::now();
     }
 
     #[test]
-    fn clock_shim_is_exempt() {
+    fn cloud_clock_module_is_flagged_like_any_file() {
         let (findings, _) =
             audit_rust_source("crates/cloud/src/clock.rs", "let t = Instant::now();");
-        assert!(findings.is_empty());
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].rule, Rule::WallClock);
     }
 
     #[test]
-    fn instant_usage_flags_the_path_itself_everywhere_but_the_shim() {
+    fn instant_usage_flags_the_path_itself_everywhere() {
         let src = "\
 use std::time::Instant;
 // std::time::Instant in a comment is fine
@@ -452,8 +448,13 @@ fn f(deadline: std::time::Instant) {}
         assert_eq!(instant.len(), 2);
         assert_eq!(instant[0].line, 1);
         assert_eq!(instant[1].line, 3);
-        let (shim, _) = audit_rust_source("crates/cloud/src/clock.rs", src);
-        assert!(shim.iter().all(|f| f.rule != Rule::InstantUsage));
+        let (clock, _) = audit_rust_source("crates/cloud/src/clock.rs", src);
+        let lines: Vec<usize> = clock
+            .iter()
+            .filter(|f| f.rule == Rule::InstantUsage)
+            .map(|f| f.line)
+            .collect();
+        assert_eq!(lines, vec![1, 3], "the cloud clock has no exemption");
     }
 
     #[test]

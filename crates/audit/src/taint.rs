@@ -24,9 +24,9 @@
 //!   keeping per-event allocations visible.
 //!
 //! The taint domain deliberately excludes the sanctioned escape hatches:
-//! the cloud clock shim, the seeded fault injector, and the bench harness
-//! (host wall-time measurement is its whole job, and every timer site there
-//! already carries a lexical `instant-usage` allow).
+//! the seeded fault injector and the bench harness (host wall-time
+//! measurement is its whole job, and every timer site there already carries
+//! a lexical `instant-usage` allow).
 
 use crate::graph::SymbolGraph;
 use crate::rules::{Finding, Rule};
@@ -49,11 +49,15 @@ pub const TAINT_ENTRY_POINTS: &[(&str, &str)] = &[
 pub const HOT_PATH_ENTRY_POINTS: &[(&str, &str)] = &[("Engine", "run"), ("*", "invoke_one")];
 
 /// File path prefixes the hot-path rule is confined to.
-pub const HOT_PATH_CRATES: &[&str] = &["crates/sim/", "crates/platform/", "crates/telemetry/"];
+pub const HOT_PATH_CRATES: &[&str] = &[
+    "crates/sim/",
+    "crates/platform/",
+    "crates/telemetry/",
+    "crates/trace/",
+];
 
 /// Files exempt from taint sink detection: the sanctioned non-determinism.
 const SINK_EXEMPT_PREFIXES: &[&str] = &[
-    "crates/cloud/src/clock.rs",
     "crates/resilience/src/fault.rs",
     "crates/bench/",
     "crates/audit/",
@@ -521,6 +525,37 @@ mod tests {
             hot[0].detail.ends_with(
                 "FaasPlatform::invoke_one -> sebs_telemetry::hub::MetricsHub::observe_ms"
             ),
+            "{}",
+            hot[0].detail
+        );
+    }
+
+    #[test]
+    fn hot_path_follows_invoke_one_into_trace_collection() {
+        let (g, src) = graph(&[
+            (
+                "crates/platform/src/platform.rs",
+                "sebs_platform",
+                "pub struct FaasPlatform { traces: TraceCollector }\n\
+                 impl FaasPlatform { fn invoke_one(&mut self) { self.traces.keep(\"f\"); } }",
+            ),
+            (
+                "crates/trace/src/sink.rs",
+                "sebs_trace",
+                "pub struct TraceCollector;\n\
+                 impl TraceCollector { pub fn keep(&mut self, f: &str) { let s = f.to_string(); } }",
+            ),
+        ]);
+        let hot: Vec<Finding> = run_flow_rules(&g, &src)
+            .into_iter()
+            .filter(|f| f.rule == Rule::HotPathAllocation)
+            .collect();
+        assert_eq!(hot.len(), 1, "{hot:?}");
+        assert_eq!(hot[0].file, "crates/trace/src/sink.rs");
+        assert!(
+            hot[0]
+                .detail
+                .ends_with("FaasPlatform::invoke_one -> sebs_trace::sink::TraceCollector::keep"),
             "{}",
             hot[0].detail
         );

@@ -11,7 +11,7 @@ use sebs_platform::{
 use sebs_resilience::{FaultPlan, RetryPolicy};
 use sebs_sim::rng::{Rng, StreamRng};
 use sebs_sim::{SimDuration, SimRng, SimTime};
-use sebs_trace::{InvocationTrace, TraceSpan};
+use sebs_trace::{InvocationTrace, TraceCollector, TraceSpan};
 use sebs_workloads::{Payload, Workload};
 
 use crate::host::Host;
@@ -169,9 +169,7 @@ pub struct ClusterPlatform {
     next_crash: usize,
     // `None` (the `RetryPolicy::none()` mapping) runs one plain attempt.
     retry: Option<RetryDriver>,
-    tracing: bool,
-    trace_seq: u64,
-    traces: Vec<InvocationTrace>,
+    traces: TraceCollector,
     stats: ClusterStats,
 }
 
@@ -214,9 +212,7 @@ impl ClusterPlatform {
             crash_events: Vec::new(),
             next_crash: 0,
             retry: None,
-            tracing: false,
-            trace_seq: 0,
-            traces: Vec::new(),
+            traces: TraceCollector::default(),
             stats: ClusterStats::default(),
             config,
         }
@@ -254,12 +250,12 @@ impl ClusterPlatform {
     /// outcome, queue wait). Observational only — no RNG, no behaviour
     /// change.
     pub fn set_tracing(&mut self, enabled: bool) {
-        self.tracing = enabled;
+        self.traces.set_enabled(enabled);
     }
 
     /// Drains collected cluster traces.
     pub fn take_traces(&mut self) -> Vec<InvocationTrace> {
-        std::mem::take(&mut self.traces)
+        self.traces.take()
     }
 
     /// The compiled host-crash schedule, sorted by (time, host).
@@ -577,10 +573,11 @@ impl ClusterPlatform {
         timeline: &ChainTimeline,
         placements: &[AttemptPlacement],
     ) {
-        if !self.tracing {
-            return;
-        }
         let meta = &self.functions[id.0 as usize];
+        let failed = !chain.outcome.is_success();
+        let Some(pending) = self.traces.admit(&meta.name, timeline.extent, failed) else {
+            return;
+        };
         let mut root = TraceSpan::new("cluster-invoke", chain_start, timeline.extent)
             .with_arg("function", meta.name.clone())
             .with_arg("attempts", chain.attempts.len().to_string())
@@ -616,15 +613,9 @@ impl ClusterPlatform {
             root.push_child(child);
         }
         debug_assert!(root.validate().is_ok(), "cluster span tree must validate");
-        self.traces.push(InvocationTrace {
-            provider: self.config.provider.to_string(),
-            benchmark: meta.name.clone(),
-            memory_mb: meta.memory_mb,
-            cell: None,
-            seq: self.trace_seq,
-            root,
-        });
-        self.trace_seq += 1;
+        let (provider, memory) = (self.config.provider, meta.memory_mb);
+        self.traces
+            .keep(pending, provider, &meta.name, memory, root);
     }
 }
 
@@ -662,7 +653,7 @@ impl Attempt for ClusterInvoker<'_> {
             self.cluster.stats.failover_hops += u64::from(failover_hop);
             self.prev_host = Some(h);
         }
-        if self.cluster.tracing {
+        if self.cluster.traces.is_enabled() {
             self.placements.push(AttemptPlacement {
                 host,
                 queue_wait,

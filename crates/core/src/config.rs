@@ -1,5 +1,6 @@
 //! Suite-wide configuration.
 
+use sebs_platform::FaasPlatform;
 use sebs_resilience::{FaultPlan, RetryPolicy};
 use sebs_sim::SimDuration;
 use sebs_stats::ConfidenceLevel;
@@ -48,8 +49,8 @@ pub struct SuiteConfig {
     /// kept set is byte-identical for every `jobs` value.
     pub trace_sampler: Option<SamplerSpec>,
     /// Sim-time phase profiling (pool acquire, storage ops, billing,
-    /// runner merges). Purely observational and
-    /// allocation-free: results never change with it on or off.
+    /// runner merges). Purely observational and allocation-free: results
+    /// never change with it on or off. Only `run_fleet` enables and drains it.
     pub profile: bool,
     /// Fault plan installed on every platform (see `sebs-resilience`).
     /// The default empty plan is bit-identical to a suite built before
@@ -158,6 +159,18 @@ impl SuiteConfig {
     /// batches.
     pub fn fast() -> SuiteConfig {
         SuiteConfig::default().with_samples(20).with_batch_size(10)
+    }
+
+    /// Switches on the observers this configuration asks for on a fresh
+    /// platform: tracing (sampled when `trace_sampler` is set) and metrics.
+    pub(crate) fn install_observers(&self, platform: &mut FaasPlatform) {
+        platform.set_tracing(self.trace);
+        if let Some(spec) = self.trace_sampler {
+            platform.enable_trace_sampling(spec);
+        }
+        if self.metrics {
+            platform.enable_metrics(self.metrics_interval);
+        }
     }
 }
 

@@ -24,7 +24,7 @@ use sebs_trace::TraceSink;
 use sebs_workloads::{Language, Scale};
 
 use crate::config::SuiteConfig;
-use crate::runner::ParallelRunner;
+use crate::runner::{Observations, ParallelRunner};
 use crate::suite::Suite;
 
 /// Sim-time gap between consecutive attempt chains: long enough to walk
@@ -277,26 +277,15 @@ pub fn run_availability(
 ) -> AvailabilityResult {
     let config = suite.config();
     let cells = availability_cells(fault_rates, policies);
-    let runner = ParallelRunner::new(config.jobs);
-    let sampled = runner.run(cells.len(), |i| {
+    let (series, observed) = ParallelRunner::new(config.jobs).run_cells(cells.len(), |i| {
         sample_cell(
             config, &cells[i], benchmark, language, provider, memory_mb, scale,
         )
     });
-    let mut series = Vec::new();
-    let mut traces = TraceSink::new();
-    let mut metrics = MetricsSink::new();
-    for (cell_series, cell_traces, cell_metrics) in sampled.into_iter().flatten() {
-        series.push(cell_series);
-        traces.merge(cell_traces);
-        metrics.merge(cell_metrics);
-    }
-    traces.sort_canonical();
-    metrics.sort_canonical();
     AvailabilityResult {
         series,
-        traces,
-        metrics,
+        traces: observed.traces,
+        metrics: observed.metrics,
     }
 }
 
@@ -330,7 +319,7 @@ fn sample_cell(
     provider: ProviderKind,
     memory_mb: u32,
     scale: Scale,
-) -> Option<(AvailabilitySeries, TraceSink, MetricsSink)> {
+) -> Option<(AvailabilitySeries, Observations)> {
     let mut suite = cell.suite(config);
     let handle = suite
         .deploy(provider, benchmark, language, memory_mb, scale)
@@ -376,18 +365,9 @@ fn sample_cell(
         suite.advance(provider, CHAIN_GAP);
     }
 
-    // Tag every trace and metrics chunk with this cell's canonical index;
-    // the driver sorts the merged sinks by it.
-    let mut traces = TraceSink::new();
-    traces.extend(suite.take_traces().into_iter().map(|mut t| {
-        t.cell = Some(cell.index as u64);
-        t
-    }));
-    let mut metrics = suite.take_metrics();
-    for chunk in metrics.chunks_mut() {
-        chunk.cell = Some(cell.index as u64);
-    }
-    Some((series, traces, metrics))
+    let observed =
+        Observations::of_cell(cell.index, suite.take_traces(), suite.take_metrics(), None);
+    Some((series, observed))
 }
 
 #[cfg(test)]

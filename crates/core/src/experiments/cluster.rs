@@ -26,7 +26,7 @@ use sebs_workloads::Payload;
 
 use super::replay::{Event, ReplayStream};
 use crate::config::SuiteConfig;
-use crate::runner::ParallelRunner;
+use crate::runner::{Observations, ParallelRunner};
 
 /// Knobs of the cluster sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -387,21 +387,13 @@ pub fn run_cluster(
 ) -> ClusterSweepResult {
     let trace = model.generate(config.seed);
     let cells = cluster_cells(sweep);
-    let runner = ParallelRunner::new(config.jobs);
-    let sampled = runner.run(cells.len(), |i| {
+    let (series, observed) = ParallelRunner::new(config.jobs).run_cells(cells.len(), |i| {
         sample_cell(config, sweep, model, &trace.arrivals, &cells[i])
     });
-    let mut series = Vec::new();
-    let mut traces = TraceSink::new();
-    for (cell_series, cell_traces) in sampled.into_iter().flatten() {
-        series.push(cell_series);
-        traces.merge(cell_traces);
-    }
-    traces.sort_canonical();
     ClusterSweepResult {
         provider: sweep.provider,
         series,
-        traces,
+        traces: observed.traces,
     }
 }
 
@@ -413,7 +405,7 @@ fn sample_cell(
     model: &TraceModel,
     arrivals: &[sebs_workload_gen::Arrival],
     cell: &ClusterCell,
-) -> Option<(ClusterSeries, TraceSink)> {
+) -> Option<(ClusterSeries, Observations)> {
     let seed = SimRng::new(config.seed).child(cell.index as u64).seed();
     let cluster_config = ClusterConfig::new(sweep.provider)
         .with_hosts(sweep.hosts)
@@ -527,12 +519,8 @@ fn sample_cell(
         series.host_stats.push(h);
     }
 
-    let mut traces = TraceSink::new();
-    traces.extend(cluster.take_traces().into_iter().map(|mut t| {
-        t.cell = Some(cell.index as u64);
-        t
-    }));
-    Some((series, traces))
+    let observed = Observations::of_cell(cell.index, cluster.take_traces(), None, None);
+    Some((series, observed))
 }
 
 #[cfg(test)]

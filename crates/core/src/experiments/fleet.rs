@@ -23,7 +23,7 @@ use sebs_platform::{
     FaasPlatform, FunctionConfig, FunctionId, InvocationOutcome, ProviderKind, ProviderProfile,
     StartKind,
 };
-use sebs_sim::{fnv1a, Phase, PhaseProfiler, SimDuration, SimRng};
+use sebs_sim::{fnv1a, PhaseProfiler, SimDuration, SimRng};
 use sebs_telemetry::MetricsSink;
 use sebs_trace::TraceSink;
 use sebs_workload_gen::{SyntheticFunction, SyntheticSpec, TraceModel};
@@ -31,7 +31,7 @@ use sebs_workloads::Payload;
 
 use super::replay::{Event, ReplayStream};
 use crate::config::SuiteConfig;
-use crate::runner::ParallelRunner;
+use crate::runner::{Observations, ParallelRunner};
 
 /// Knobs of the fleet replay.
 #[derive(Debug, Clone, PartialEq)]
@@ -256,34 +256,15 @@ pub fn run_fleet(config: &SuiteConfig, fleet: &FleetConfig, model: &TraceModel) 
         fns_per_cell[(fnv1a(f.profile.name.as_bytes()) % cells as u64) as usize].push(i);
     }
 
-    let runner = ParallelRunner::new(config.jobs);
-    let sampled = runner.run(cells, |i| {
+    let (series, observed) = ParallelRunner::new(config.jobs).run_cells(cells, |i| {
         sample_cell(config, fleet, model, i, &fns_per_cell[i])
     });
-
-    let mut series = Vec::new();
-    let mut traces = TraceSink::new();
-    let mut metrics = MetricsSink::new();
-    let mut profile = PhaseProfiler::new();
-    for (cell_series, cell_traces, cell_metrics, cell_profile) in sampled.into_iter().flatten() {
-        series.push(cell_series);
-        traces.merge(cell_traces);
-        metrics.merge(cell_metrics);
-        if let Some(p) = cell_profile {
-            profile.merge(&p);
-            // Merges run on the host outside sim time; only the count of
-            // cell results folded back is meaningful.
-            profile.record(Phase::RunnerMerge, SimDuration::ZERO);
-        }
-    }
-    traces.sort_canonical();
-    metrics.sort_canonical();
     FleetResult {
         provider: fleet.provider,
         series,
-        traces,
-        metrics,
-        profile,
+        traces: observed.traces,
+        metrics: observed.metrics,
+        profile: observed.profile.unwrap_or_default(),
     }
 }
 
@@ -296,23 +277,12 @@ fn sample_cell(
     model: &TraceModel,
     index: usize,
     fn_indices: &[usize],
-) -> Option<(
-    FleetCellSeries,
-    TraceSink,
-    MetricsSink,
-    Option<PhaseProfiler>,
-)> {
+) -> Option<(FleetCellSeries, Observations)> {
     let seed = SimRng::new(config.seed).child(index as u64).seed();
     let mut platform = FaasPlatform::new(ProviderProfile::for_kind(fleet.provider), seed);
-    platform.set_tracing(config.trace);
-    if let Some(spec) = config.trace_sampler {
-        platform.enable_trace_sampling(spec);
-    }
+    config.install_observers(&mut platform);
     if config.profile {
         platform.enable_profiling();
-    }
-    if config.metrics {
-        platform.enable_metrics(config.metrics_interval);
     }
 
     let mut deployed: BTreeMap<u32, (FunctionId, SyntheticFunction)> = BTreeMap::new();
@@ -377,25 +347,19 @@ fn sample_cell(
         }
     }
 
-    // Tag traces and metrics chunks with the canonical cell index; the
-    // driver sorts the merged sinks by it.
-    let mut traces = TraceSink::new();
-    traces.extend(platform.take_traces().into_iter().map(|mut t| {
-        t.cell = Some(index as u64);
-        t
-    }));
-    let mut metrics = MetricsSink::new();
-    if let Some(mut chunk) = platform.take_metrics() {
-        chunk.cell = Some(index as u64);
-        metrics.push(chunk);
-    }
-    let profile = platform.take_profile();
-    Some((series, traces, metrics, profile))
+    let observed = Observations::of_cell(
+        index,
+        platform.take_traces(),
+        platform.take_metrics(),
+        platform.take_profile(),
+    );
+    Some((series, observed))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sebs_sim::Phase;
 
     fn small_fleet() -> FleetConfig {
         FleetConfig {

@@ -22,7 +22,7 @@ use sebs_trace::TraceSink;
 use sebs_workloads::{Language, Scale};
 
 use crate::config::SuiteConfig;
-use crate::runner::{ExperimentGrid, GridCell, ParallelRunner};
+use crate::runner::{ExperimentGrid, GridCell, Observations, ParallelRunner};
 use crate::suite::Suite;
 
 /// One sampled series: a (provider, benchmark, memory, start-kind) cell.
@@ -205,24 +205,12 @@ pub fn run_perf_cost_grid(
     runner: &ParallelRunner,
 ) -> PerfCostResult {
     let cells = grid.cells();
-    let sampled = runner.run(cells.len(), |i| sample_cell(config, &cells[i], scale));
-    let mut series = Vec::new();
-    let mut traces = TraceSink::new();
-    let mut metrics = MetricsSink::new();
-    for (cold, warm, cell_traces, cell_metrics) in sampled.into_iter().flatten() {
-        series.push(cold);
-        series.push(warm);
-        traces.merge(cell_traces);
-        metrics.merge(cell_metrics);
-    }
-    // Same guarantee as the ResultStore sort below: canonical cell order
-    // no matter which worker finished first.
-    traces.sort_canonical();
-    metrics.sort_canonical();
+    let (pairs, observed) =
+        runner.run_cells(cells.len(), |i| sample_cell(config, &cells[i], scale));
     PerfCostResult {
-        series,
-        traces,
-        metrics,
+        series: pairs.into_iter().flatten().collect(),
+        traces: observed.traces,
+        metrics: observed.metrics,
     }
 }
 
@@ -232,7 +220,7 @@ fn sample_cell(
     config: &SuiteConfig,
     cell: &GridCell,
     scale: Scale,
-) -> Option<(PerfCostSeries, PerfCostSeries, TraceSink, MetricsSink)> {
+) -> Option<([PerfCostSeries; 2], Observations)> {
     let samples = config.samples;
     let batch = config.batch_size.max(1);
     let ci_frac = config.ci_target_fraction;
@@ -289,18 +277,9 @@ fn sample_cell(
     cold.client_ci = median_ci(&cold.client_ms, level);
     warm.client_ci = median_ci(&warm.client_ms, level);
 
-    // Tag every trace and metrics chunk with this cell's canonical index;
-    // the grid driver sorts the merged sinks by it.
-    let mut traces = TraceSink::new();
-    traces.extend(suite.take_traces().into_iter().map(|mut t| {
-        t.cell = Some(cell.index as u64);
-        t
-    }));
-    let mut metrics = suite.take_metrics();
-    for chunk in metrics.chunks_mut() {
-        chunk.cell = Some(cell.index as u64);
-    }
-    Some((cold, warm, traces, metrics))
+    let observed =
+        Observations::of_cell(cell.index, suite.take_traces(), suite.take_metrics(), None);
+    Some(([cold, warm], observed))
 }
 
 fn new_series(

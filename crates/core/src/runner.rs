@@ -24,7 +24,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use sebs_platform::ProviderKind;
-use sebs_sim::SimRng;
+use sebs_sim::{Phase, PhaseProfiler, SimDuration, SimRng};
+use sebs_telemetry::{MetricsChunk, MetricsSink};
+use sebs_trace::{InvocationTrace, TraceSink};
 use sebs_workloads::Language;
 
 use crate::config::SuiteConfig;
@@ -212,6 +214,69 @@ impl ParallelRunner {
             "every index produced exactly one result"
         );
         pairs.into_iter().map(|(_, t)| t).collect()
+    }
+
+    /// Runs `n` cells and merges them canonically: the series of every cell
+    /// that ran (`None` when its provider rejects a deployment) in cell
+    /// order, and their observations sorted by cell index. Each cell's phase
+    /// profile folds into the merged one as one `runner.merge` event.
+    pub(crate) fn run_cells<S: Send>(
+        &self,
+        n: usize,
+        cell: impl Fn(usize) -> Option<(S, Observations)> + Sync,
+    ) -> (Vec<S>, Observations) {
+        let mut series = Vec::with_capacity(n);
+        let mut merged = Observations::default();
+        for (cell_series, observed) in self.run(n, cell).into_iter().flatten() {
+            series.push(cell_series);
+            merged.traces.merge(observed.traces);
+            merged.metrics.merge(observed.metrics);
+            if let Some(p) = observed.profile {
+                let profile = merged.profile.get_or_insert_with(PhaseProfiler::new);
+                profile.merge(&p);
+                // Merges run on the host outside sim time; only the count
+                // of cell results folded back is meaningful.
+                profile.record(Phase::RunnerMerge, SimDuration::ZERO);
+            }
+        }
+        merged.traces.sort_canonical();
+        merged.metrics.sort_canonical();
+        (series, merged)
+    }
+}
+
+/// What cells observed: traces, metric chunks and the phase profile.
+#[derive(Debug, Default)]
+pub(crate) struct Observations {
+    pub(crate) traces: TraceSink,
+    pub(crate) metrics: MetricsSink,
+    /// `None` unless profiling was on.
+    pub(crate) profile: Option<PhaseProfiler>,
+}
+
+impl Observations {
+    /// One cell's drained observations, its traces and metric chunks
+    /// tagged with the cell index [`ParallelRunner::run_cells`] sorts by.
+    pub(crate) fn of_cell(
+        index: usize,
+        traces: Vec<InvocationTrace>,
+        metrics: impl IntoIterator<Item = MetricsChunk>,
+        profile: Option<PhaseProfiler>,
+    ) -> Observations {
+        let cell = Some(index as u64);
+        let mut observed = Observations::default();
+        for mut trace in traces {
+            trace.cell = cell;
+            observed.traces.push(trace);
+        }
+        for mut chunk in metrics {
+            chunk.cell = cell;
+            observed.metrics.push(chunk);
+        }
+        Observations {
+            profile,
+            ..observed
+        }
     }
 }
 

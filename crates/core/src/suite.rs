@@ -77,16 +77,7 @@ impl Suite {
                 ProviderProfile::for_kind(kind),
                 config.seed ^ kind_salt(kind),
             );
-            platform.set_tracing(config.trace);
-            if let Some(spec) = config.trace_sampler {
-                platform.enable_trace_sampling(spec);
-            }
-            if config.profile {
-                platform.enable_profiling();
-            }
-            if config.metrics {
-                platform.enable_metrics(config.metrics_interval);
-            }
+            config.install_observers(&mut platform);
             if !config.faults.is_empty() {
                 platform.set_faults(config.faults.clone());
             }
@@ -228,11 +219,10 @@ impl Suite {
     /// Drains every platform's collected invocation traces in provider
     /// order (AWS, Azure, GCP) — empty unless the config enabled tracing.
     pub fn take_traces(&mut self) -> Vec<sebs_trace::InvocationTrace> {
-        let mut traces = Vec::new();
-        for platform in self.platforms.values_mut() {
-            traces.extend(platform.take_traces());
-        }
-        traces
+        self.platforms
+            .values_mut()
+            .flat_map(FaasPlatform::take_traces)
+            .collect()
     }
 
     /// Drains every platform's collected metrics into one sink, in

@@ -12,7 +12,7 @@ use sebs_sim::rng::{Rng, StreamRng};
 use sebs_sim::{Phase, PhaseProfiler, SimDuration, SimRng, SimTime};
 use sebs_storage::{ObjectStorage, SimObjectStore, StorageOp};
 use sebs_telemetry::{CounterId, GaugeId, HistogramId, MetricsChunk, MetricsHub};
-use sebs_trace::{Admission, InvocationTrace, SamplerSpec, TraceSampler, TraceSpan};
+use sebs_trace::{InvocationTrace, SamplerSpec, TraceCollector, TraceSpan};
 use sebs_workloads::{InvocationCtx, IoEvent, IoKind, Payload, Workload, WorkloadError};
 
 use crate::billing::InvocationBill;
@@ -307,15 +307,10 @@ pub struct FaasPlatform {
     // concurrency factor (cluster hosts raise it with their load); 1.0 is
     // arithmetically invisible, keeping the single-box path bit-identical.
     host_contention: f64,
-    // Tracing is strictly observational: it consumes no randomness and no
-    // host time, so results are identical with it on or off.
-    tracing: bool,
-    trace_seq: u64,
-    traces: Vec<InvocationTrace>,
-    // Bounded trace sampling: when installed, collected traces flow into
-    // the sampler (own RNG streams, so results never change) instead of
-    // the unbounded `traces` vector.
-    sampler: Option<TraceSampler>,
+    // Tracing is strictly observational: it consumes no randomness (a
+    // sampler draws from its own streams) and no host time, so results are
+    // identical with it on or off.
+    traces: TraceCollector,
     // Sim-time phase profiling shares the tracing contract: preallocated,
     // no RNG draw, no wall-clock read, zero cost when `None`.
     profiler: Option<PhaseProfiler>,
@@ -368,10 +363,7 @@ impl FaasPlatform {
             rng_memory: root.stream("memory"),
             client_bandwidth_bps: 30e6,
             host_contention: 1.0,
-            tracing: false,
-            trace_seq: 0,
-            traces: Vec::new(),
-            sampler: None,
+            traces: TraceCollector::default(),
             profiler: None,
             metrics: None,
             seed,
@@ -429,28 +421,24 @@ impl FaasPlatform {
     /// purely observational — it never touches an RNG stream, so toggling
     /// it cannot change any simulation result.
     pub fn set_tracing(&mut self, enabled: bool) {
-        self.tracing = enabled;
+        self.traces.set_enabled(enabled);
     }
 
-    /// Switches tracing on with a bounded [`TraceSampler`] instead of
-    /// full collection: memory stays fixed no matter how many invocations
-    /// run, and [`FaasPlatform::take_traces`] returns the sampled set.
-    /// The sampler draws only from dedicated `trace-reservoir` streams of
-    /// the platform seed, so — like plain tracing — enabling it cannot
-    /// change any simulation result.
+    /// Switches tracing on with a bounded [`sebs_trace::TraceSampler`]
+    /// instead of full collection: memory stays fixed no matter how many
+    /// invocations run, and [`FaasPlatform::take_traces`] returns the
+    /// sampled set. The sampler draws only from dedicated `trace-reservoir`
+    /// streams of the platform seed, so — like plain tracing — enabling it
+    /// cannot change any simulation result.
     pub fn enable_trace_sampling(&mut self, spec: SamplerSpec) {
-        self.tracing = true;
-        self.sampler = Some(TraceSampler::new(spec, self.seed));
+        self.traces.enable_sampling(spec, self.seed);
     }
 
     /// Drains the traces collected so far, in invocation order. With a
     /// sampler installed, this is the bounded kept set (reservoir sample,
     /// slowest exemplars, error exemplars), still in invocation order.
     pub fn take_traces(&mut self) -> Vec<InvocationTrace> {
-        match self.sampler.as_mut() {
-            Some(s) => s.drain(),
-            None => std::mem::take(&mut self.traces),
-        }
+        self.traces.take()
     }
 
     /// Switches on the sim-time phase profiler. Recording is
@@ -822,14 +810,16 @@ impl FaasPlatform {
             None => RetryDriver::single(&mut invoker),
         };
         self.retry = driver;
-        if self.tracing && chain.attempts.len() > 1 {
-            let deployed = Rc::clone(&self.functions[id.0 as usize]);
+        if chain.attempts.len() > 1 {
+            let deployed = &self.functions[id.0 as usize];
             let failed = !chain.outcome.is_success();
             let name = &deployed.config.name;
-            if let Some(slot) = self.admit_trace(name, timeline.extent, failed) {
+            if let Some(pending) = self.traces.admit(name, timeline.extent, failed) {
                 let root = build_chain_span(&chain, &timeline, chain_start);
                 debug_assert_eq!(root.validate(), Ok(()), "chain span tree is well-formed");
-                self.keep_trace(slot, name, deployed.effective_memory_mb, root);
+                let memory = deployed.effective_memory_mb;
+                self.traces
+                    .keep(pending, self.profile.kind, name, memory, root);
             }
         }
         chain
@@ -941,8 +931,7 @@ impl FaasPlatform {
                 limit: limits.payload_bytes,
             };
             record.t_recv_client = (self.now + rtt).as_secs_f64();
-            self.record_failure_trace(&deployed.config.name, &record);
-            self.record_invocation_metrics(id, &record, false);
+            self.observe_rejection(&deployed, &record);
             return (record, None);
         }
 
@@ -951,8 +940,7 @@ impl FaasPlatform {
             record.outcome = InvocationOutcome::Throttled;
             record.client_time = rtt + req_transfer;
             record.t_recv_client = (self.now + record.client_time).as_secs_f64();
-            self.record_failure_trace(&deployed.config.name, &record);
-            self.record_invocation_metrics(id, &record, false);
+            self.observe_rejection(&deployed, &record);
             return (record, None);
         }
 
@@ -973,8 +961,7 @@ impl FaasPlatform {
             record.outcome = InvocationOutcome::ServiceUnavailable;
             record.client_time = rtt + req_transfer + quirks.unavailable_penalty;
             record.t_recv_client = (self.now + record.client_time).as_secs_f64();
-            self.record_failure_trace(&deployed.config.name, &record);
-            self.record_invocation_metrics(id, &record, false);
+            self.observe_rejection(&deployed, &record);
             return (record, None);
         }
 
@@ -1026,7 +1013,7 @@ impl FaasPlatform {
         let exec_payload = with_cache_param(payload, !acquired.is_cold());
         let mut exec_rng = self.rng_exec.clone();
         self.rng_exec.gen::<u64>(); // decorrelate subsequent invocations
-        let tracing = self.tracing;
+        let tracing = self.traces.is_enabled();
         let mut run_body = |storage: &mut dyn ObjectStorage| {
             let mut ctx = InvocationCtx::new(storage, &mut exec_rng);
             if tracing {
@@ -1180,32 +1167,31 @@ impl FaasPlatform {
         record.t_recv_client = (self.now + record.client_time).as_secs_f64();
         record.outcome = outcome;
 
-        if self.tracing {
-            let failed = !record.outcome.is_success();
-            let name = &deployed.config.name;
-            if let Some(slot) = self.admit_trace(name, record.client_time, failed) {
-                let root = self.build_invocation_span(
-                    &deployed,
-                    &record,
-                    SpanParts {
-                        rtt,
-                        trigger_overhead,
-                        req_transfer,
-                        cold_breakdown,
-                        sandbox_overhead,
-                        penalty,
-                        contention,
-                        io_scale,
-                        io_events: &io_events,
-                    },
-                );
-                debug_assert_eq!(
-                    root.validate(),
-                    Ok(()),
-                    "invocation span tree is well-formed"
-                );
-                self.keep_trace(slot, name, memory, root);
-            }
+        let name = &deployed.config.name;
+        let failed = !record.outcome.is_success();
+        if let Some(pending) = self.traces.admit(name, record.client_time, failed) {
+            let root = self.build_invocation_span(
+                &deployed,
+                &record,
+                SpanParts {
+                    rtt,
+                    trigger_overhead,
+                    req_transfer,
+                    cold_breakdown,
+                    sandbox_overhead,
+                    penalty,
+                    contention,
+                    io_scale,
+                    io_events: &io_events,
+                },
+            );
+            debug_assert_eq!(
+                root.validate(),
+                Ok(()),
+                "invocation span tree is well-formed"
+            );
+            self.traces
+                .keep(pending, self.profile.kind, name, memory, root);
         }
 
         self.record_invocation_metrics(id, &record, spurious);
@@ -1342,79 +1328,25 @@ impl FaasPlatform {
         }
     }
 
-    /// Records a root-only trace for invocations rejected before a sandbox
-    /// was ever acquired (payload limit, throttle, availability error).
+    /// Observes an invocation rejected before a sandbox was acquired
+    /// (payload limit, throttle, availability error): a root-only failure
+    /// trace plus its metrics.
     // audit:allow(hot-path-allocation): span trees are built only when tracing is enabled
-    fn record_failure_trace(&mut self, benchmark: &str, record: &InvocationRecord) {
-        if !self.tracing {
-            return;
+    fn observe_rejection(&mut self, deployed: &Deployed, record: &InvocationRecord) {
+        let benchmark = &deployed.config.name;
+        if let Some(pending) = self.traces.admit(benchmark, record.client_time, true) {
+            let root = TraceSpan::new("invocation", record.submitted_at, record.client_time)
+                .with_arg("benchmark", benchmark.as_str())
+                .with_arg("provider", self.profile.kind.to_string())
+                .with_arg("outcome", record.outcome.label())
+                .with_arg("memory_mb", record.configured_memory_mb.to_string())
+                .with_arg("concurrency", record.concurrency.to_string());
+            let memory = record.configured_memory_mb;
+            self.traces
+                .keep(pending, self.profile.kind, benchmark, memory, root);
         }
-        let Some(slot) = self.admit_trace(benchmark, record.client_time, true) else {
-            return;
-        };
-        let root = TraceSpan::new("invocation", record.submitted_at, record.client_time)
-            .with_arg("benchmark", benchmark)
-            .with_arg("provider", self.profile.kind.to_string())
-            .with_arg("outcome", record.outcome.label())
-            .with_arg("memory_mb", record.configured_memory_mb.to_string())
-            .with_arg("concurrency", record.concurrency.to_string());
-        self.keep_trace(slot, benchmark, record.configured_memory_mb, root);
+        self.record_invocation_metrics(record.function, record, false);
     }
-
-    /// Numbers the next trace and decides whether it is kept: always
-    /// without a sampler, and only when the sampler admits it otherwise.
-    /// Admission needs only the root span's `duration`, so a caller builds
-    /// the span tree only for a trace that gets a slot.
-    // Out of line, so the tracing-off path of `invoke_one` carries no
-    // inlined copies of it (one per call site).
-    #[inline(never)]
-    fn admit_trace(
-        &mut self,
-        benchmark: &str,
-        duration: SimDuration,
-        failed: bool,
-    ) -> Option<TraceSlot> {
-        let seq = self.trace_seq;
-        self.trace_seq += 1;
-        let admission = match self.sampler.as_mut() {
-            Some(sampler) => Some(sampler.admit(benchmark, duration, seq, failed)?),
-            None => None,
-        };
-        Some(TraceSlot {
-            seq,
-            duration,
-            admission,
-        })
-    }
-
-    /// Stores the trace of a slot from [`FaasPlatform::admit_trace`].
-    // audit:allow(hot-path-allocation): trace records are built only when tracing is enabled
-    fn keep_trace(&mut self, slot: TraceSlot, benchmark: &str, memory_mb: u32, root: TraceSpan) {
-        debug_assert_eq!(
-            root.duration, slot.duration,
-            "admitted by the root's duration"
-        );
-        let trace = InvocationTrace {
-            provider: self.profile.kind.to_string(),
-            benchmark: benchmark.to_string(),
-            memory_mb,
-            cell: None,
-            seq: slot.seq,
-            root,
-        };
-        match (self.sampler.as_mut(), slot.admission) {
-            (Some(sampler), Some(admission)) => sampler.keep(admission, trace),
-            _ => self.traces.push(trace),
-        }
-    }
-}
-
-/// A numbered trace that [`FaasPlatform::admit_trace`] decided to keep,
-/// with the sampler's placement when one is installed.
-struct TraceSlot {
-    seq: u64,
-    duration: SimDuration,
-    admission: Option<Admission>,
 }
 
 /// The single box as an [`Attempt`] target: every attempt is one plain

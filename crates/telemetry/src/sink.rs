@@ -74,8 +74,8 @@ impl MetricsSink {
         &self.chunks
     }
 
-    /// Mutable chunk access — grid drivers use this to stamp the cell
-    /// index onto freshly drained chunks.
+    /// Mutable chunk access, e.g. to stamp a cell index onto freshly
+    /// drained chunks.
     pub fn chunks_mut(&mut self) -> &mut [MetricsChunk] {
         &mut self.chunks
     }
@@ -93,6 +93,16 @@ impl MetricsSink {
     /// Total number of sampled points across all chunks.
     pub fn point_count(&self) -> usize {
         self.chunks.iter().map(|c| c.points.len()).sum()
+    }
+}
+
+impl IntoIterator for MetricsSink {
+    type Item = MetricsChunk;
+    type IntoIter = std::vec::IntoIter<MetricsChunk>;
+
+    /// The chunks, in current order.
+    fn into_iter(self) -> Self::IntoIter {
+        self.chunks.into_iter()
     }
 }
 

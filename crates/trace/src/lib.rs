@@ -10,6 +10,9 @@
 //!   **sim-time**, with string arguments and nested children.
 //! * [`InvocationTrace`] — the span tree of one invocation plus its
 //!   canonical coordinates (grid cell, per-platform sequence number).
+//! * [`TraceCollector`] — one platform's collection, for the single box and
+//!   the cluster alike: it numbers traces, admits each before its span tree
+//!   is built, and keeps all of them or those a [`TraceSampler`] admits.
 //! * [`TraceSink`] — a per-worker collection that merges in canonical cell
 //!   order, exactly like `ResultStore`; serialized traces are therefore
 //!   byte-identical for every `--jobs` value.
@@ -34,5 +37,5 @@ pub mod span;
 pub use breakdown::breakdown_table;
 pub use chrome::chrome_trace_json;
 pub use sampler::{Admission, SamplerSpec, TraceSampler};
-pub use sink::{InvocationTrace, TraceSink};
+pub use sink::{InvocationTrace, Pending, TraceCollector, TraceSink};
 pub use span::TraceSpan;

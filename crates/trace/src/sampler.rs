@@ -87,7 +87,7 @@ pub struct Admission {
 ///
 /// A trace is admitted from its coordinates alone ([`TraceSampler::admit`]),
 /// so a caller builds the span tree only for the few traces the sampler
-/// keeps; [`TraceSampler::offer`] is the same path for a built trace.
+/// keeps ([`TraceSampler::keep`]).
 #[derive(Debug)]
 pub struct TraceSampler {
     spec: SamplerSpec,
@@ -118,11 +118,6 @@ impl TraceSampler {
         }
     }
 
-    /// The active knobs.
-    pub fn spec(&self) -> SamplerSpec {
-        self.spec
-    }
-
     /// Traces offered so far (kept or not).
     pub fn seen(&self) -> u64 {
         self.seen
@@ -143,22 +138,13 @@ impl TraceSampler {
             + self.errors.len()
     }
 
-    /// Offers one built trace; the sampler decides what to keep. `failed`
-    /// marks error exemplars (the caller knows the outcome — the sampler
-    /// does not parse span args).
-    pub fn offer(&mut self, trace: InvocationTrace, failed: bool) {
-        if let Some(admission) =
-            self.admit(&trace.benchmark, trace.root.duration, trace.seq, failed)
-        {
-            self.keep(admission, trace);
-        }
-    }
-
     /// Decides whether the trace of invocation `seq` of `function`, with
     /// root-span `duration`, is kept, before anything is built. Counts it
     /// as offered and makes the reservoir draw either way, so the kept
-    /// set is the same as offering every built trace. `None` means the
-    /// trace is kept nowhere and need not be built.
+    /// set is the same as offering every built trace. `failed` marks error
+    /// exemplars (the caller knows the outcome; the sampler does not parse
+    /// span args). `None` means the trace is kept nowhere and need not be
+    /// built.
     pub fn admit(
         &mut self,
         function: &str,
@@ -229,6 +215,7 @@ impl TraceSampler {
     /// `reservoir_per_fn` invocations of a function fill the slots; the
     /// `n`-th (n > k) replaces a uniform slot with probability `k / n`.
     /// Returns the slot the trace takes.
+    // audit:allow(hot-path-allocation): a function's name and reservoir are allocated once, at its first sight
     fn admit_reservoir(&mut self, function: &str) -> Option<usize> {
         let k = self.spec.reservoir_per_fn;
         if k == 0 {
@@ -280,6 +267,13 @@ mod tests {
     use super::*;
     use crate::span::TraceSpan;
     use sebs_sim::{SimDuration, SimTime};
+
+    /// Admits and keeps one built trace.
+    fn offer(s: &mut TraceSampler, trace: InvocationTrace, failed: bool) {
+        if let Some(admission) = s.admit(&trace.benchmark, trace.root.duration, trace.seq, failed) {
+            s.keep(admission, trace);
+        }
+    }
 
     fn trace(benchmark: &str, seq: u64, millis: u64) -> InvocationTrace {
         InvocationTrace {
@@ -466,7 +460,7 @@ mod tests {
         let mut s = TraceSampler::new(spec, 42);
         for i in 0..10_000u64 {
             let name = ["alpha", "beta", "gamma"][(i % 3) as usize];
-            s.offer(trace(name, i, i % 250), i % 97 == 0);
+            offer(&mut s, trace(name, i, i % 250), i % 97 == 0);
         }
         assert_eq!(s.seen(), 10_000);
         assert!(s.kept() <= spec.max_kept(3), "kept {} traces", s.kept());
@@ -492,7 +486,7 @@ mod tests {
         );
         // Durations 0..100 ms in a scrambled order.
         for (i, ms) in [40u64, 7, 99, 55, 3, 98, 97, 12].iter().enumerate() {
-            s.offer(trace("fn", i as u64, *ms), false);
+            offer(&mut s, trace("fn", i as u64, *ms), false);
         }
         let kept: Vec<u64> = s
             .drain()
@@ -506,7 +500,7 @@ mod tests {
     fn error_exemplars_are_always_kept() {
         let mut s = TraceSampler::new(SamplerSpec::fleet_default(), 5);
         for i in 0..5000u64 {
-            s.offer(trace("fn", i, 10), i == 4321);
+            offer(&mut s, trace("fn", i, 10), i == 4321);
         }
         assert_eq!(s.errors_seen(), 1);
         let drained = s.drain();
@@ -522,7 +516,7 @@ mod tests {
             let mut s = TraceSampler::new(SamplerSpec::fleet_default(), seed);
             for i in 0..3000u64 {
                 let name = ["a", "b"][(i % 2) as usize];
-                s.offer(trace(name, i, (i * 37) % 500), false);
+                offer(&mut s, trace(name, i, (i * 37) % 500), false);
             }
             s.drain().iter().map(|t| t.seq).collect::<Vec<u64>>()
         };
@@ -536,10 +530,10 @@ mod tests {
         // the tail function must still have exemplars.
         let mut s = TraceSampler::new(SamplerSpec::fleet_default(), 3);
         for i in 0..10_000u64 {
-            s.offer(trace("hot", i, 10), false);
+            offer(&mut s, trace("hot", i, 10), false);
         }
-        s.offer(trace("tail", 10_000, 10), false);
-        s.offer(trace("tail", 10_001, 10), false);
+        offer(&mut s, trace("tail", 10_000, 10), false);
+        offer(&mut s, trace("tail", 10_001, 10), false);
         let drained = s.drain();
         let tail = drained.iter().filter(|t| t.benchmark == "tail").count();
         assert_eq!(tail, 2, "both tail invocations kept");
@@ -549,7 +543,7 @@ mod tests {
     fn draining_twice_is_safe_and_continuation_stays_deterministic() {
         let offer_all = |s: &mut TraceSampler, base: u64| {
             for i in 0..500u64 {
-                s.offer(trace("fn", base + i, (i * 13) % 300), false);
+                offer(s, trace("fn", base + i, (i * 13) % 300), false);
             }
         };
         let mut a = TraceSampler::new(SamplerSpec::fleet_default(), 8);

@@ -1,5 +1,12 @@
-//! Trace collection with the same determinism contract as `ResultStore`.
+//! Trace collection with the same determinism contract as `ResultStore`:
+//! each platform numbers and keeps its own traces ([`TraceCollector`]), and
+//! a run merges its cells' traces in canonical order ([`TraceSink`]).
 
+use std::fmt::Display;
+
+use sebs_sim::SimDuration;
+
+use crate::sampler::{Admission, SamplerSpec, TraceSampler};
 use crate::span::TraceSpan;
 
 /// The span tree of one invocation plus its canonical coordinates.
@@ -19,6 +26,111 @@ pub struct InvocationTrace {
     pub seq: u64,
     /// The root `invocation` span.
     pub root: TraceSpan,
+}
+
+/// Numbers one platform's traces and keeps every admitted one, or the
+/// bounded set a [`TraceSampler`] picks. Off until enabled.
+///
+/// A caller asks [`TraceCollector::admit`] with a trace's coordinates,
+/// builds the span tree only when it gets a [`Pending`] back, and hands
+/// both to [`TraceCollector::keep`] before the next admission. Each
+/// admission while collection is on takes the next `seq`, kept or not.
+#[derive(Debug, Default)]
+pub struct TraceCollector {
+    enabled: bool,
+    next_seq: u64,
+    /// When installed, it keeps the traces and `all` stays empty.
+    sampler: Option<TraceSampler>,
+    all: Vec<InvocationTrace>,
+}
+
+/// A numbered trace that [`TraceCollector::admit`] decided to keep.
+#[derive(Debug)]
+#[must_use = "an admitted trace must be handed to `TraceCollector::keep`"]
+pub struct Pending {
+    seq: u64,
+    duration: SimDuration,
+    admission: Option<Admission>,
+}
+
+impl TraceCollector {
+    /// Switches collection on or off; an installed sampler stays.
+    pub fn set_enabled(&mut self, enabled: bool) {
+        self.enabled = enabled;
+    }
+
+    /// Switches collection on with a fresh sampler rooted at `seed`.
+    pub fn enable_sampling(&mut self, spec: SamplerSpec, seed: u64) {
+        self.enabled = true;
+        self.sampler = Some(TraceSampler::new(spec, seed));
+    }
+
+    /// Whether traces are being collected.
+    pub fn is_enabled(&self) -> bool {
+        self.enabled
+    }
+
+    /// Numbers the next trace, of function `name` with root-span
+    /// `duration`, and decides whether it is kept. `None` when collection
+    /// is off or the sampler drops the trace, which then need not be built.
+    #[inline]
+    pub fn admit(&mut self, name: &str, duration: SimDuration, failed: bool) -> Option<Pending> {
+        if !self.enabled {
+            return None;
+        }
+        self.number(name, duration, failed)
+    }
+
+    // Out of line, so a caller's collection-off path carries no inlined
+    // copy of it.
+    #[inline(never)]
+    fn number(&mut self, name: &str, duration: SimDuration, failed: bool) -> Option<Pending> {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let admission = match self.sampler.as_mut() {
+            Some(sampler) => Some(sampler.admit(name, duration, seq, failed)?),
+            None => None,
+        };
+        Some(Pending {
+            seq,
+            duration,
+            admission,
+        })
+    }
+
+    /// Stores the trace that `pending` admitted, rooted at `root`.
+    // audit:allow(hot-path-allocation): a trace record is built only for an admitted trace
+    pub fn keep(
+        &mut self,
+        pending: Pending,
+        provider: impl Display,
+        benchmark: &str,
+        memory_mb: u32,
+        root: TraceSpan,
+    ) {
+        debug_assert_eq!(root.duration, pending.duration, "the admitted root");
+        let trace = InvocationTrace {
+            provider: provider.to_string(),
+            benchmark: benchmark.to_string(),
+            memory_mb,
+            cell: None,
+            seq: pending.seq,
+            root,
+        };
+        match (self.sampler.as_mut(), pending.admission) {
+            (Some(sampler), Some(admission)) => sampler.keep(admission, trace),
+            _ => self.all.push(trace),
+        }
+    }
+
+    /// Drains the kept traces in `seq` order; a sampler's counters and
+    /// RNG streams carry on.
+    pub fn take(&mut self) -> Vec<InvocationTrace> {
+        match self.sampler.as_mut() {
+            Some(sampler) => sampler.drain(),
+            None => std::mem::take(&mut self.all),
+        }
+    }
 }
 
 /// Collects [`InvocationTrace`]s and merges them in canonical cell order.
@@ -87,7 +199,7 @@ impl TraceSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sebs_sim::{SimDuration, SimTime};
+    use sebs_sim::SimTime;
 
     fn trace(cell: Option<u64>, seq: u64) -> InvocationTrace {
         InvocationTrace {
@@ -147,5 +259,56 @@ mod tests {
         s.push(trace(None, 0));
         assert_eq!(s.len(), 1);
         assert_eq!(s.span_count(), 1);
+    }
+
+    fn collect(c: &mut TraceCollector, function: &str, millis: u64, failed: bool) {
+        let duration = SimDuration::from_millis(millis);
+        if let Some(pending) = c.admit(function, duration, failed) {
+            let root = TraceSpan::new("invocation", SimTime::ZERO, duration);
+            c.keep(pending, "aws", function, 256, root);
+        }
+    }
+
+    #[test]
+    fn off_by_default_and_numbers_only_while_on() {
+        let mut c = TraceCollector::default();
+        collect(&mut c, "f", 5, false);
+        assert!(c.take().is_empty(), "nothing is collected while off");
+        c.set_enabled(true);
+        collect(&mut c, "f", 5, false);
+        collect(&mut c, "g", 7, true);
+        c.set_enabled(false);
+        collect(&mut c, "f", 9, false);
+        let kept = c.take();
+        let seqs: Vec<u64> = kept.iter().map(|t| t.seq).collect();
+        assert_eq!(seqs, vec![0, 1], "numbered from the first traced call");
+        assert_eq!(kept[1].benchmark, "g");
+        assert_eq!(kept[1].provider, "aws");
+        assert!(c.take().is_empty(), "take drains");
+    }
+
+    #[test]
+    fn sampling_after_enabling_still_samples() {
+        let spec = SamplerSpec {
+            reservoir_per_fn: 1,
+            slowest_k: 1,
+            error_k: 0,
+        };
+        let mut c = TraceCollector::default();
+        c.set_enabled(true);
+        c.enable_sampling(spec, 3);
+        for i in 0..100 {
+            collect(&mut c, "f", i % 10, false);
+        }
+        let kept = c.take();
+        assert!(!kept.is_empty());
+        assert!(kept.len() <= spec.max_kept(1), "kept {}", kept.len());
+        // Switching collection off and on keeps the sampler installed.
+        c.set_enabled(false);
+        c.set_enabled(true);
+        for i in 0..100 {
+            collect(&mut c, "f", i % 10, false);
+        }
+        assert!(c.take().len() <= spec.max_kept(1));
     }
 }

@@ -36,6 +36,7 @@ pub struct TraceSpan {
 
 impl TraceSpan {
     /// Creates a leaf span.
+    // audit:allow(hot-path-allocation): spans are built only for admitted traces, and `Vec::new` does not allocate
     pub fn new(name: impl Into<String>, start: SimTime, duration: SimDuration) -> TraceSpan {
         TraceSpan {
             name: name.into(),
@@ -99,6 +100,7 @@ impl TraceSpan {
     /// # Errors
     ///
     /// Returns a description of the first violated invariant.
+    // audit:allow(hot-path-allocation): messages are formatted only for a malformed tree; the platforms validate in `debug_assert`s
     pub fn validate(&self) -> Result<(), String> {
         let mut prev_start: Option<SimTime> = None;
         for c in &self.children {

@@ -24,7 +24,7 @@ pub fn legacy_clock() -> u64 {
 }
 
 /// VIOLATION instant-usage (lexical): naming `std::time::Instant` at all is
-/// forbidden outside the clock shim, even in a type position.
+/// forbidden in every file, even in a type position.
 pub fn deadline_of(_t: std::time::Instant) {}
 
 // VIOLATION stale-allow: this suppression covers a function that violates

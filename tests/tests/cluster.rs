@@ -1,7 +1,8 @@
 //! Cluster fault-domain integration tests: crash-schedule purity,
-//! single-box bit-identity of the degenerate 1-host region (retry policy
-//! knobs included), trace placement of retries, warm-pool eviction on
-//! crash, and failover of retried attempts onto survivors.
+//! results unchanged by tracing, single-box bit-identity of the degenerate
+//! 1-host region (retry policy knobs included), trace placement of
+//! retries, warm-pool eviction on crash, and failover of retried attempts
+//! onto survivors.
 
 use sebs::config::SuiteConfig;
 use sebs::experiments::cluster::{run_cluster, ClusterSweepConfig};
@@ -89,6 +90,35 @@ fn cluster_sweep_is_byte_identical_across_jobs() {
         assert_eq!(traces, traces1, "traces identical at jobs={jobs}");
         assert_eq!(series, series1, "series identical at jobs={jobs}");
     }
+}
+
+#[test]
+fn cluster_tracing_never_changes_results() {
+    let mut sweep = ClusterSweepConfig::new(ProviderKind::Aws);
+    sweep.functions = 6;
+    sweep.target_invocations = 300;
+    sweep.horizon = SimDuration::from_secs(600);
+    sweep.hosts = 4;
+    sweep.schedulers = vec![SchedulerKind::LeastLoaded, SchedulerKind::RandomK(2)];
+    sweep.keepalives = vec![KeepAliveKind::Provider, KeepAliveKind::Hybrid];
+    sweep.host_fault_rates = vec![0.0, 0.4];
+    let run = |trace: bool| {
+        let config = SuiteConfig::fast().with_seed(43).with_trace(trace);
+        let model = sweep.synthetic_model(config.seed);
+        run_cluster(&config, &sweep, &model)
+    };
+    let (on, off) = (run(true), run(false));
+    assert!(!on.traces.is_empty(), "tracing on collects cluster traces");
+    assert!(off.traces.is_empty(), "tracing off collects none");
+    assert_eq!(
+        on.series, off.series,
+        "series identical with tracing on/off"
+    );
+    assert_eq!(
+        on.to_store().to_json(),
+        off.to_store().to_json(),
+        "store JSON identical with tracing on/off"
+    );
 }
 
 /// The degenerate region — one host, effectively unbounded capacity,
