@@ -551,7 +551,7 @@ fn is_keyword(s: &str) -> bool {
 mod tests {
     use super::*;
     use crate::parse::parse_file;
-    use crate::token::tokenize;
+    use crate::token::lex;
 
     fn file(path: &str, krate: &str, module_tail: &str, src: &str) -> SourceFile {
         SourceFile {
@@ -559,7 +559,7 @@ mod tests {
             crate_ident: krate.to_string(),
             file_module: file_module_path(module_tail),
             is_external: false,
-            parsed: parse_file(tokenize(src)),
+            parsed: parse_file(lex(src)),
         }
     }
 

@@ -7,12 +7,13 @@
 //! a hand-rolled analysis engine — no `syn`, no `toml`, no dependencies at
 //! all — so the auditor itself can never violate the policy it enforces.
 //!
-//! Two layers run over every file:
+//! Each file is lexed ([`token`]) and parsed ([`parse`]) once, and two
+//! layers read that one result:
 //!
-//! 1. **lexical rules** ([`rules`]) match tokens line by line (wall-clock,
-//!    ambient-randomness, panic-hygiene, …);
-//! 2. **flow rules** ([`taint`]) run on a workspace-wide symbol graph built
-//!    by [`token`] → [`parse`] → [`graph`]: cross-crate determinism taint,
+//! 1. **lexical rules** ([`rules`]) match token sequences line by line
+//!    (wall-clock, ambient-randomness, panic-hygiene, …);
+//! 2. **flow rules** ([`taint`]) run on a workspace-wide symbol graph
+//!    ([`graph`]) of every parsed file: cross-crate determinism taint,
 //!    RNG stream discipline, float total order and hot-path allocation.
 //!
 //! Use it as a library (the CI gate runs [`audit_workspace`] in-process):
@@ -28,7 +29,6 @@ pub mod graph;
 pub mod parse;
 pub mod report;
 pub mod rules;
-pub mod scan;
 pub mod taint;
 pub mod token;
 pub mod toml;
@@ -85,7 +85,8 @@ pub fn audit_workspace(root: &Path) -> io::Result<Report> {
     // Longest prefix first, so nested packages win over the workspace root.
     crate_dirs.sort_by(|a, b| b.0.len().cmp(&a.0.len()).then(a.0.cmp(&b.0)));
 
-    // Pass 2: lexical rules + parsing for the graph.
+    // Pass 2: lex and parse each Rust file once; the lexical rules read the
+    // result here, the flow rules through the graph.
     let mut findings = Vec::new();
     let mut allows = Vec::new();
     let mut sources: BTreeMap<String, Vec<String>> = BTreeMap::new();
@@ -98,12 +99,13 @@ pub fn audit_workspace(root: &Path) -> io::Result<Report> {
             findings.extend(rules::audit_manifest(&rel_str, &source));
             continue;
         }
-        lines_scanned += source.lines().count();
-        let (f, a) = rules::audit_rust_source(&rel_str, &source);
+        let lines: Vec<String> = source.lines().map(str::to_string).collect();
+        lines_scanned += lines.len();
+        let parsed = parse::parse_file(token::lex(&source));
+        let (f, a) = rules::audit_rust_file(&rel_str, &lines, &parsed);
         findings.extend(f);
         allows.extend(a);
 
-        let parsed = parse::parse_file(token::tokenize(&source));
         let scope = rules::FileScope::classify(&rel_str);
         parsed_files.push(SourceFile {
             path: rel_str.clone(),
@@ -112,7 +114,7 @@ pub fn audit_workspace(root: &Path) -> io::Result<Report> {
             is_external: !scope.library,
             parsed,
         });
-        sources.insert(rel_str, source.lines().map(str::to_string).collect());
+        sources.insert(rel_str, lines);
     }
 
     // Pass 3: the symbol graph and the flow rules.

@@ -9,7 +9,7 @@
 //! is trivial: anything unrecognised is skipped token by token, and brace
 //! balance keeps the scope stack honest.
 
-use crate::token::{Tok, TokKind};
+use crate::token::{spells, Lexed, Tok, TokKind};
 
 /// Kinds of items recovered by the parser (used for item-scoped allows).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,19 +72,35 @@ pub struct Import {
     pub glob: bool,
 }
 
-/// Everything the parser recovered from one file.
+/// Everything the lexer and parser recovered from one file: what both
+/// rule layers read.
 #[derive(Debug, Default)]
 pub struct ParsedFile {
     pub toks: Vec<Tok>,
+    /// Per-line comment text, as [`Lexed::comments`].
+    pub comments: Vec<(usize, String)>,
     pub items: Vec<Item>,
     pub fns: Vec<FnItem>,
     pub imports: Vec<Import>,
+    /// Line spans `(first, last)` of the outermost items marked
+    /// `#[test]` or `#[cfg(test)]`: everything inside is test code.
+    pub test_spans: Vec<(usize, usize)>,
 }
 
-/// Parses a token stream into items.
-pub fn parse_file(toks: Vec<Tok>) -> ParsedFile {
+impl ParsedFile {
+    /// `true` when `line` lies inside a test item.
+    pub fn is_test_line(&self, line: usize) -> bool {
+        self.test_spans
+            .iter()
+            .any(|&(first, last)| first <= line && line <= last)
+    }
+}
+
+/// Parses a lexed file into items.
+pub fn parse_file(lexed: Lexed) -> ParsedFile {
     let mut out = ParsedFile {
-        toks,
+        toks: lexed.toks,
+        comments: lexed.comments,
         ..ParsedFile::default()
     };
     let mut p = Parser {
@@ -93,11 +109,13 @@ pub fn parse_file(toks: Vec<Tok>) -> ParsedFile {
         items: Vec::new(),
         fns: Vec::new(),
         imports: Vec::new(),
+        test_spans: Vec::new(),
     };
     p.parse_items(&mut Vec::new(), None, false);
     out.items = p.items;
     out.fns = p.fns;
     out.imports = p.imports;
+    out.test_spans = p.test_spans;
     out
 }
 
@@ -107,6 +125,7 @@ struct Parser<'a> {
     items: Vec<Item>,
     fns: Vec<FnItem>,
     imports: Vec<Import>,
+    test_spans: Vec<(usize, usize)>,
 }
 
 impl<'a> Parser<'a> {
@@ -170,6 +189,7 @@ impl<'a> Parser<'a> {
             let Some(t) = self.peek() else {
                 return;
             };
+            let outermost_test = attr_test && !in_test;
             let in_test = in_test || attr_test;
             match t.text.as_str() {
                 "fn" if t.kind == TokKind::Ident => {
@@ -233,10 +253,14 @@ impl<'a> Parser<'a> {
                     self.bump();
                 }
             }
+            if outermost_test {
+                self.test_spans.push((item_start, self.prev_line()));
+            }
         }
     }
 
-    /// Parses `#[...]`; returns `true` when the attribute marks test code.
+    /// Parses `#[...]`; returns `true` when the attribute marks test code:
+    /// `#[test]` or `#[cfg(test)]`.
     fn parse_attribute(&mut self) -> bool {
         self.bump(); // '#'
         if self.peek().is_some_and(|t| t.is_punct("!")) {
@@ -248,8 +272,8 @@ impl<'a> Parser<'a> {
         let start = self.pos;
         self.skip_balanced("[", "]");
         let body = &self.toks[start..self.pos];
-        let has = |s: &str| body.iter().any(|t| t.is_ident(s));
-        has("test") || (has("cfg") && has("test"))
+        let is = |words: &[&str]| body.len() == words.len() && spells(body, 0, words);
+        is(&["[", "test", "]"]) || is(&["[", "cfg", "(", "test", ")", "]"])
     }
 
     fn parse_fn(
@@ -661,10 +685,10 @@ fn last_path_ident(toks: &[Tok]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::token::tokenize;
+    use crate::token::lex;
 
     fn parse(src: &str) -> ParsedFile {
-        parse_file(tokenize(src))
+        parse_file(lex(src))
     }
 
     #[test]
@@ -696,6 +720,24 @@ mod tests {
         assert!(by_name("t").is_test);
         assert!(by_name("helper").is_test);
         assert_eq!(by_name("helper").module, vec!["tests".to_string()]);
+    }
+
+    #[test]
+    fn only_test_and_cfg_test_attributes_mark_test_code() {
+        let src = "#[cfg(not(test))]\nfn live() {}\n#[cfg_attr(test, inline)]\nfn also_live() {}\n\
+                   #[test]\nfn t() {}\n#[cfg(test)]\nmod tests {\n    fn helper() {}\n}";
+        let p = parse(src);
+        let test: Vec<(&str, bool)> = p.fns.iter().map(|f| (f.name.as_str(), f.is_test)).collect();
+        assert_eq!(
+            test,
+            [
+                ("live", false),
+                ("also_live", false),
+                ("t", true),
+                ("helper", true)
+            ]
+        );
+        assert_eq!(p.test_spans, [(5, 6), (7, 10)]);
     }
 
     #[test]

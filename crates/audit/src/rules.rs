@@ -30,6 +30,12 @@
 //!   move behind a [`FaultPlan`] or carry an explicit allow naming the
 //!   paper section they reproduce.
 //!
+//! The six lexical families match token sequences of the shared
+//! [`crate::token`] stream line by line, so a forbidden name inside a
+//! comment or string never fires; a pattern fires at most once per line,
+//! and only when all its tokens sit on that line. "Test code" is what the
+//! parser marks: items under `#[test]` or `#[cfg(test)]`.
+//!
 //! Four *flow* families run on the workspace symbol graph instead of single
 //! lines — **determinism-taint**, **rng-stream-discipline**,
 //! **float-total-order** and **hot-path-allocation**; see [`crate::taint`]
@@ -48,7 +54,8 @@
 //! Every allow is counted and carried in the report so suppressions stay
 //! visible, and an allow that suppresses nothing is reported as *stale*.
 
-use crate::scan::{contains_token, scan_rust, ScannedLine};
+use crate::parse::{parse_file, ParsedFile};
+use crate::token::{lex, spells, Tok, TokKind};
 use crate::toml::{TomlDoc, TomlValue};
 
 /// How many lines below an `audit:allow` comment it still applies to when
@@ -172,15 +179,16 @@ pub struct Allow {
     pub scope_end: usize,
 }
 
-/// Extracts `audit:allow(rule): reason` records from scanned comment text.
+/// Extracts `audit:allow(rule): reason` records from per-line comment
+/// text ([`crate::token::Lexed::comments`]).
 ///
 /// The marker must open the comment (`// audit:allow(…)`), so prose that
 /// merely *mentions* the syntax — like this crate's own documentation —
 /// is not treated as a suppression.
-pub fn parse_allows(file: &str, lines: &[ScannedLine]) -> Vec<Allow> {
+pub fn parse_allows(file: &str, comments: &[(usize, String)]) -> Vec<Allow> {
     let mut out = Vec::new();
-    for (idx, l) in lines.iter().enumerate() {
-        let Some(rest) = l.comment.trim_start().strip_prefix("audit:allow(") else {
+    for (line, comment) in comments {
+        let Some(rest) = comment.trim_start().strip_prefix("audit:allow(") else {
             continue;
         };
         let Some(close) = rest.find(')') else {
@@ -194,9 +202,9 @@ pub fn parse_allows(file: &str, lines: &[ScannedLine]) -> Vec<Allow> {
         out.push(Allow {
             rule,
             file: file.to_string(),
-            line: idx + 1,
+            line: *line,
             reason,
-            scope_end: idx + 1 + ALLOW_WINDOW,
+            scope_end: line + ALLOW_WINDOW,
         });
     }
     out
@@ -247,113 +255,81 @@ impl FileScope {
     }
 }
 
-const WALL_CLOCK_TOKENS: [&str; 2] = ["Instant::now", "SystemTime::now"];
-const RANDOMNESS_TOKENS: [&str; 5] = [
-    "rand::",
-    "thread_rng",
-    "from_entropy",
-    "getrandom",
-    "RandomState",
+const WALL_CLOCK: &[&[&str]] = &[&["Instant", "::", "now"], &["SystemTime", "::", "now"]];
+const INSTANT_PATH: &[&[&str]] = &[&["std", "::", "time", "::", "Instant"]];
+/// Ambient-randomness sinks: OS-seeded generators and any `rand::` path.
+/// Determinism taint names the same sinks.
+pub const RANDOMNESS_SINKS: &[&[&str]] = &[
+    &["rand", "::"],
+    &["thread_rng"],
+    &["from_entropy"],
+    &["getrandom"],
+    &["RandomState"],
 ];
-const HASH_TOKENS: [&str; 2] = ["HashMap", "HashSet"];
-const PANIC_TOKENS: [&str; 2] = [".unwrap()", ".expect("];
-const INSTANT_TOKEN: &str = "std::time::Instant";
-/// A `failure-probability` finding needs both tokens on one code line: an
-/// RNG draw (`.gen::<f64>()`, `.gen_bool(…)`, …) compared against a
-/// `*_rate` probability knob.
-const FAILURE_DRAW_TOKEN: &str = ".gen";
-const FAILURE_RATE_TOKEN: &str = "_rate";
+/// Hash-iteration sinks. Determinism taint names the same sinks.
+pub const HASH_SINKS: &[&[&str]] = &[&["HashMap"], &["HashSet"]];
+const PANICS: &[&[&str]] = &[&[".", "unwrap", "(", ")"], &[".", "expect", "("]];
 
 /// Audits one Rust source file; returns raw findings (suppression is applied
 /// by the caller so allows can be accounted for centrally).
 pub fn audit_rust_source(path: &str, source: &str) -> (Vec<Finding>, Vec<Allow>) {
-    let lines = scan_rust(source);
-    let allows = parse_allows(path, &lines);
-    let scope = FileScope::classify(path);
-    let test_lines = test_block_lines(&lines);
-    let mut findings = Vec::new();
-
-    let originals: Vec<&str> = source.lines().collect();
-    let snippet = |idx: usize| -> String {
-        originals
-            .get(idx)
-            .map(|s| s.trim().to_string())
-            .unwrap_or_default()
-    };
-
-    for (idx, l) in lines.iter().enumerate() {
-        let mut push = |rule: Rule| findings.push(Finding::new(rule, path, idx + 1, snippet(idx)));
-        for pat in WALL_CLOCK_TOKENS {
-            if contains_token(&l.code, pat) {
-                push(Rule::WallClock);
-            }
-        }
-        if l.code.contains(INSTANT_TOKEN) {
-            push(Rule::InstantUsage);
-        }
-        for pat in RANDOMNESS_TOKENS {
-            if contains_token(&l.code, pat) {
-                push(Rule::AmbientRandomness);
-            }
-        }
-        if scope.deterministic_core {
-            for pat in HASH_TOKENS {
-                if contains_token(&l.code, pat) {
-                    push(Rule::HashIteration);
-                }
-            }
-        }
-        if scope.library && !test_lines[idx] {
-            for pat in PANIC_TOKENS {
-                if contains_token(&l.code, pat) {
-                    push(Rule::PanicHygiene);
-                }
-            }
-        }
-        if scope.deterministic_core
-            && !scope.fault_injector
-            && !test_lines[idx]
-            && l.code.contains(FAILURE_DRAW_TOKEN)
-            && l.code.contains(FAILURE_RATE_TOKEN)
-        {
-            push(Rule::FailureProbability);
-        }
-    }
-    (findings, allows)
+    let lines: Vec<String> = source.lines().map(str::to_string).collect();
+    audit_rust_file(path, &lines, &parse_file(lex(source)))
 }
 
-/// Marks lines inside `#[cfg(test)] mod … { … }` blocks via brace tracking on
-/// the code view (comments and strings already blanked by the scanner).
-fn test_block_lines(lines: &[ScannedLine]) -> Vec<bool> {
-    let mut flags = vec![false; lines.len()];
-    let mut depth = 0i64;
-    let mut pending_cfg = false;
-    let mut test_until_depth: Option<i64> = None;
-    for (idx, l) in lines.iter().enumerate() {
-        let code = &l.code;
-        if test_until_depth.is_none() && code.contains("#[cfg(test)]") {
-            pending_cfg = true;
-        }
-        if pending_cfg
-            && test_until_depth.is_none()
-            && contains_token(code, "mod")
-            && code.contains('{')
-        {
-            test_until_depth = Some(depth);
-            pending_cfg = false;
-        }
-        if test_until_depth.is_some() {
-            flags[idx] = true;
-        }
-        depth += code.matches('{').count() as i64;
-        depth -= code.matches('}').count() as i64;
-        if let Some(d) = test_until_depth {
-            if depth <= d {
-                test_until_depth = None;
+/// [`audit_rust_source`] for a file already lexed and parsed; `lines` are
+/// its source lines, for snippets.
+pub fn audit_rust_file(
+    path: &str,
+    lines: &[String],
+    parsed: &ParsedFile,
+) -> (Vec<Finding>, Vec<Allow>) {
+    let scope = FileScope::classify(path);
+    let mut hits: Vec<(Rule, usize)> = Vec::new();
+    for toks in parsed.toks.chunk_by(|a, b| a.line == b.line) {
+        let line = toks[0].line;
+        let test = parsed.is_test_line(line);
+        let mut fire = |rule: Rule, patterns: &[&[&str]]| {
+            for p in patterns {
+                if (0..toks.len()).any(|i| spells(toks, i, p)) {
+                    hits.push((rule, line));
+                }
             }
+        };
+        fire(Rule::WallClock, WALL_CLOCK);
+        fire(Rule::InstantUsage, INSTANT_PATH);
+        fire(Rule::AmbientRandomness, RANDOMNESS_SINKS);
+        if scope.deterministic_core {
+            fire(Rule::HashIteration, HASH_SINKS);
+        }
+        if scope.library && !test {
+            fire(Rule::PanicHygiene, PANICS);
+        }
+        if scope.deterministic_core && !scope.fault_injector && !test && draws_against_a_rate(toks)
+        {
+            hits.push((Rule::FailureProbability, line));
         }
     }
-    flags
+    let findings = hits
+        .into_iter()
+        .map(|(rule, line)| {
+            let snippet = lines.get(line - 1).map(|s| s.trim().to_string());
+            Finding::new(rule, path, line, snippet.unwrap_or_default())
+        })
+        .collect();
+    (findings, parse_allows(path, &parsed.comments))
+}
+
+/// A `failure-probability` line: an RNG draw (`.gen::<f64>()`,
+/// `.gen_bool(…)`, …) next to a `*_rate` probability knob.
+fn draws_against_a_rate(toks: &[Tok]) -> bool {
+    let draws = toks
+        .windows(2)
+        .any(|w| w[0].is_punct(".") && w[1].kind == TokKind::Ident && w[1].text.starts_with("gen"));
+    draws
+        && toks
+            .iter()
+            .any(|t| t.kind == TokKind::Ident && t.text.contains("_rate"))
 }
 
 /// Audits one Cargo manifest for registry (non-path) dependencies.
@@ -483,6 +459,28 @@ let start = std::time::Instant::now();
     }
 
     #[test]
+    fn lexical_patterns_match_whole_tokens() {
+        let src = "\
+use rand::Rng;
+use operand::Rng;
+let m: HashMap<K, V>;
+struct MyHashMapLike;
+x.unwrap();
+x.unwrap_or(1);
+";
+        let (findings, _) = audit_rust_source("crates/sim/src/x.rs", src);
+        let got: Vec<(usize, Rule)> = findings.iter().map(|f| (f.line, f.rule)).collect();
+        assert_eq!(
+            got,
+            [
+                (1, Rule::AmbientRandomness),
+                (3, Rule::HashIteration),
+                (5, Rule::PanicHygiene)
+            ]
+        );
+    }
+
+    #[test]
     fn hash_iteration_only_in_core_crates() {
         let src = "use std::collections::HashMap;";
         for core in ["platform", "telemetry"] {
@@ -510,6 +508,21 @@ mod tests {
         assert!(bin.iter().all(|f| f.rule != Rule::PanicHygiene));
         let (itest, _) = audit_rust_source("tests/tests/t.rs", "x.unwrap();");
         assert!(itest.is_empty());
+    }
+
+    #[test]
+    fn test_code_is_every_test_item_and_only_that() {
+        let src = "\
+#[cfg(test)]
+fn helper() { x.unwrap(); }
+#[cfg(not(test))]
+fn live() { y.unwrap(); }
+#[test]
+fn t() { z.expect(\"fine\"); }
+";
+        let (findings, _) = audit_rust_source("crates/sim/src/x.rs", src);
+        let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
+        assert_eq!(lines, [4], "{findings:?}");
     }
 
     #[test]

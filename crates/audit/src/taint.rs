@@ -7,7 +7,7 @@
 //!   deterministic-core entry point (`Engine::run`, `invoke_one`, the
 //!   exporters) that names a wall-clock, ambient-randomness or
 //!   hash-iteration site — in *any* crate — is flagged, with the full call
-//!   chain in the finding. This catches the laundering the line scanner
+//!   chain in the finding. This catches the laundering the lexical rules
 //!   cannot: a `SystemTime::now()` hidden behind a helper in a non-core
 //!   crate that the engine calls.
 //! * **rng-stream-discipline** — every literal `SimRng::child` salt must be
@@ -29,8 +29,8 @@
 //! a lexical `instant-usage` allow).
 
 use crate::graph::SymbolGraph;
-use crate::rules::{Finding, Rule};
-use crate::token::{Tok, TokKind};
+use crate::rules::{Finding, Rule, HASH_SINKS, RANDOMNESS_SINKS};
+use crate::token::{spells, Tok, TokKind};
 use std::collections::BTreeMap;
 
 /// Entry points of the deterministic core: `(impl type or "*"/"", fn name)`.
@@ -85,21 +85,18 @@ fn snippet(sources: &BTreeMap<String, Vec<String>>, file: &str, line: usize) -> 
         .unwrap_or_default()
 }
 
-/// What kind of determinism sink an identifier is, if any.
-fn sink_kind(toks: &[Tok], i: usize) -> Option<&'static str> {
-    let t = &toks[i];
-    if t.kind != TokKind::Ident {
-        return None;
-    }
-    match t.text.as_str() {
-        "SystemTime" | "Instant" => Some("wall-clock"),
-        "thread_rng" | "from_entropy" | "getrandom" | "RandomState" => Some("ambient-randomness"),
-        "HashMap" | "HashSet" => Some("hash-iteration"),
-        // `rand::…` paths: the crate name followed by `::`.
-        "rand" if toks.get(i + 1).is_some_and(|n| n.kind == TokKind::PathSep) => {
-            Some("ambient-randomness")
-        }
-        _ => None,
+/// Which determinism sink starts at token `i`, if any: any mention of a
+/// host clock type, or a sink of the lexical randomness and hash rules.
+fn sink_kind(toks: &[Tok], i: usize) -> Option<Rule> {
+    let spelled = |sinks: &[&[&str]]| sinks.iter().any(|s| spells(toks, i, s));
+    if toks[i].is_ident("SystemTime") || toks[i].is_ident("Instant") {
+        Some(Rule::WallClock)
+    } else if spelled(RANDOMNESS_SINKS) {
+        Some(Rule::AmbientRandomness)
+    } else if spelled(HASH_SINKS) {
+        Some(Rule::HashIteration)
+    } else {
+        None
     }
 }
 
@@ -138,7 +135,7 @@ fn determinism_taint(
                     symbol: s.path(),
                     detail: format!(
                         "{} sink `{}` reachable from deterministic core: {}",
-                        kind,
+                        kind.name(),
                         toks[i].text,
                         graph.chain(&pred, id)
                     ),
@@ -331,7 +328,7 @@ mod tests {
     use super::*;
     use crate::graph::{file_module_path, SourceFile, SymbolGraph};
     use crate::parse::parse_file;
-    use crate::token::tokenize;
+    use crate::token::lex;
 
     fn graph(files: &[(&str, &str, &str)]) -> (SymbolGraph, BTreeMap<String, Vec<String>>) {
         let mut sources = BTreeMap::new();
@@ -347,7 +344,7 @@ mod tests {
                 crate_ident: krate.to_string(),
                 file_module: file_module_path(tail),
                 is_external: false,
-                parsed: parse_file(tokenize(src)),
+                parsed: parse_file(lex(src)),
             });
         }
         (SymbolGraph::build(sf), sources)

@@ -1,15 +1,16 @@
-//! A hand-rolled Rust tokenizer feeding the item parser.
+//! The hand-rolled Rust lexer both rule layers read.
 //!
-//! The line scanner in [`crate::scan`] is enough for lexical rules, but the
-//! flow rules (determinism taint, RNG stream discipline, …) need to see the
-//! source as a *token stream*: identifiers, punctuation, literals and
-//! lifetimes with their line numbers, comments stripped. No `syn` — the
+//! [`lex`] turns a file into a *token stream* — identifiers, punctuation,
+//! literals and lifetimes with their line numbers — plus the comment text
+//! of each line. The lexical rules match token sequences line by line and
+//! read `audit:allow` escapes from the comments; the item parser builds the
+//! flow rules' symbol graph from the same tokens. No `syn` — the
 //! zero-registry-deps policy stands, so this is a small purpose-built lexer
-//! that understands exactly as much Rust as the parser above it needs:
-//! nested block comments, plain/raw/byte string literals with `#` fences,
-//! char literals vs lifetimes, numeric literals (including `0x…`, `_`
-//! separators, exponents and tuple-index ambiguity with `..`), and the
-//! `::` path separator as a single token.
+//! that understands exactly as much Rust as the rules need: nested block
+//! comments, plain/raw/byte string literals with `#` fences, char literals
+//! vs lifetimes, numeric literals (including `0x…`, `_` separators,
+//! exponents and tuple-index ambiguity with `..`), and the `::` path
+//! separator as a single token.
 
 /// What kind of lexeme a token is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,10 +48,27 @@ impl Tok {
     }
 }
 
-/// Tokenizes Rust source. Comments vanish; everything else becomes a [`Tok`].
-pub fn tokenize(source: &str) -> Vec<Tok> {
+/// One lexed file: its tokens and the comment text on each line.
+#[derive(Debug)]
+pub struct Lexed {
+    pub toks: Vec<Tok>,
+    /// `(line, text)` for every line holding comment text, in line order:
+    /// the text without its `//`, `/*` and `*/` markers, several comments
+    /// on one line concatenated.
+    pub comments: Vec<(usize, String)>,
+}
+
+/// Lexes Rust source. Comments leave the token stream for
+/// [`Lexed::comments`]; everything else becomes a [`Tok`].
+pub fn lex(source: &str) -> Lexed {
     let chars: Vec<char> = source.chars().collect();
     let mut toks = Vec::new();
+    let mut comments: Vec<(usize, String)> = Vec::new();
+    let mut comment = |line: usize, text: &[char]| match comments.last_mut() {
+        _ if text.is_empty() => {}
+        Some((at, s)) if *at == line => s.extend(text),
+        _ => comments.push((line, text.iter().collect())),
+    };
     let mut line = 1usize;
     let mut i = 0usize;
 
@@ -63,28 +81,40 @@ pub fn tokenize(source: &str) -> Vec<Tok> {
         } else if c.is_whitespace() {
             i += 1;
         } else if c == '/' && next == Some('/') {
+            let start = i + 2;
             while i < chars.len() && chars[i] != '\n' {
                 i += 1;
             }
+            comment(line, &chars[start..i]);
         } else if c == '/' && next == Some('*') {
+            // Each line of the comment keeps its own text; the nested
+            // `/*` and `*/` markers belong to none of them.
             i += 2;
+            let mut start = i;
             let mut depth = 1u32;
             while i < chars.len() && depth > 0 {
                 let d = chars[i];
                 let dn = chars.get(i + 1).copied();
-                if d == '/' && dn == Some('*') {
+                let step = if d == '/' && dn == Some('*') {
                     depth += 1;
-                    i += 2;
+                    2
                 } else if d == '*' && dn == Some('/') {
                     depth -= 1;
-                    i += 2;
+                    2
+                } else if d == '\n' {
+                    1
                 } else {
-                    if d == '\n' {
-                        line += 1;
-                    }
                     i += 1;
+                    continue;
+                };
+                comment(line, &chars[start..i]);
+                if d == '\n' {
+                    line += 1;
                 }
+                i += step;
+                start = i;
             }
+            comment(line, &chars[start..i]);
         } else if let Some((text, end, newlines)) = raw_string_at(&chars, i) {
             toks.push(Tok {
                 kind: TokKind::Literal,
@@ -99,7 +129,12 @@ pub fn tokenize(source: &str) -> Vec<Tok> {
             let mut newlines = 0usize;
             while i < chars.len() {
                 match chars[i] {
-                    '\\' => i += 2,
+                    '\\' => {
+                        // The escaped char may be the newline of a `\`
+                        // line continuation, which still ends a line.
+                        newlines += usize::from(chars.get(i + 1) == Some(&'\n'));
+                        i += 2;
+                    }
                     '"' => {
                         i += 1;
                         break;
@@ -159,7 +194,17 @@ pub fn tokenize(source: &str) -> Vec<Tok> {
             i += 1;
         }
     }
-    toks
+    Lexed { toks, comments }
+}
+
+/// `true` when the tokens from `at` on spell `words`, one token per word.
+/// A lifetime never matches: `'HashMap` does not spell `HashMap`.
+pub fn spells(toks: &[Tok], at: usize, words: &[&str]) -> bool {
+    toks.get(at..at + words.len()).is_some_and(|run| {
+        run.iter()
+            .zip(words)
+            .all(|(t, w)| t.kind != TokKind::Lifetime && t.text == *w)
+    })
 }
 
 /// Lexes `r"…"`, `r#"…"#`, `br##"…"##` at `i`; returns (text, end, newlines).
@@ -315,7 +360,8 @@ mod tests {
     use super::*;
 
     fn kinds(src: &str) -> Vec<(TokKind, String)> {
-        tokenize(src)
+        lex(src)
+            .toks
             .into_iter()
             .map(|t| (t.kind, t.text))
             .collect()
@@ -339,7 +385,7 @@ mod tests {
 
     #[test]
     fn comments_are_stripped_but_lines_advance() {
-        let toks = tokenize("a // c\n/* x\ny */ b");
+        let toks = lex("a // c\n/* x\ny */ b").toks;
         assert_eq!(toks.len(), 2);
         assert_eq!(toks[0].line, 1);
         assert_eq!(toks[1].line, 3);
@@ -347,7 +393,7 @@ mod tests {
 
     #[test]
     fn raw_strings_with_fences_are_one_literal() {
-        let toks = tokenize("let s = r##\"body \"# inner\"##; x");
+        let toks = lex("let s = r##\"body \"# inner\"##; x").toks;
         let lit = toks.iter().find(|t| t.kind == TokKind::Literal).unwrap();
         assert!(lit.text.starts_with("r##\""));
         assert!(toks.iter().any(|t| t.is_ident("x")));
@@ -355,7 +401,7 @@ mod tests {
 
     #[test]
     fn lifetimes_vs_char_literals() {
-        let toks = tokenize("fn f<'a>(x: &'a str) { let c = 'x'; }");
+        let toks = lex("fn f<'a>(x: &'a str) { let c = 'x'; }").toks;
         assert!(toks
             .iter()
             .any(|t| t.kind == TokKind::Lifetime && t.text == "a"));
@@ -378,8 +424,55 @@ mod tests {
 
     #[test]
     fn multiline_strings_advance_lines() {
-        let toks = tokenize("let s = \"a\nb\";\nafter");
+        let toks = lex("let s = \"a\nb\";\nafter").toks;
         let after = toks.iter().find(|t| t.is_ident("after")).unwrap();
         assert_eq!(after.line, 3);
+    }
+
+    #[test]
+    fn line_continuations_in_strings_advance_lines() {
+        let toks = lex("let s = \"one \\\n  two\";\nafter").toks;
+        let after = toks.iter().find(|t| t.is_ident("after")).unwrap();
+        assert_eq!(after.line, 3);
+    }
+
+    #[test]
+    fn line_comment_text_is_captured_per_line() {
+        let lexed = lex("let x = 1; // Instant::now() here\nlet y = 2;");
+        assert!(!lexed.toks.iter().any(|t| t.is_ident("Instant")));
+        assert_eq!(lexed.comments, [(1, " Instant::now() here".to_string())]);
+    }
+
+    #[test]
+    fn nested_block_comment_text_is_captured_per_line() {
+        let lexed = lex("a /* outer /* inner */ still */ b\n/* spans\nlines */ c");
+        let idents: Vec<(usize, &str)> = lexed
+            .toks
+            .iter()
+            .map(|t| (t.line, t.text.as_str()))
+            .collect();
+        assert_eq!(idents, [(1, "a"), (1, "b"), (3, "c")]);
+        assert_eq!(
+            lexed.comments,
+            [
+                (1, " outer  inner  still ".to_string()),
+                (2, " spans".to_string()),
+                (3, "lines ".to_string()),
+            ]
+        );
+    }
+
+    #[test]
+    fn strings_hide_escaped_quotes_and_comment_markers() {
+        let lexed = lex(r#"let s = "Instant::now() \" // no comment"; f(s); // real"#);
+        let lits: Vec<&str> = lexed
+            .toks
+            .iter()
+            .filter(|t| t.kind == TokKind::Literal)
+            .map(|t| t.text.as_str())
+            .collect();
+        assert_eq!(lits, [r#""Instant::now() \" // no comment""#]);
+        assert!(lexed.toks.iter().any(|t| t.is_ident("f")));
+        assert_eq!(lexed.comments, [(1, " real".to_string())]);
     }
 }

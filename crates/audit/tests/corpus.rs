@@ -9,13 +9,13 @@
 
 use sebs_audit::parse::{parse_file, ItemKind};
 use sebs_audit::rules::{audit_rust_source, is_suppressed, Rule};
-use sebs_audit::token::{tokenize, TokKind};
+use sebs_audit::token::{lex, TokKind};
 
 const CORPUS: &str = include_str!("fixtures/corpus/tricky.rs");
 
 #[test]
 fn comments_and_strings_hide_their_tokens() {
-    let toks = tokenize(CORPUS);
+    let toks = lex(CORPUS).toks;
     // `SystemTime` / `thread_rng` appear only in the nested block comment;
     // `HashMap` only inside the fenced raw string. None may become idents.
     for banned in ["SystemTime", "thread_rng", "HashMap"] {
@@ -37,7 +37,7 @@ fn comments_and_strings_hide_their_tokens() {
 
 #[test]
 fn lifetimes_and_char_literals_are_distinguished() {
-    let toks = tokenize(CORPUS);
+    let toks = lex(CORPUS).toks;
     let lifetimes: Vec<&str> = toks
         .iter()
         .filter(|t| t.kind == TokKind::Lifetime)
@@ -61,7 +61,7 @@ fn lifetimes_and_char_literals_are_distinguished() {
 
 #[test]
 fn parser_recovers_items_and_ignores_macro_bodies() {
-    let parsed = parse_file(tokenize(CORPUS));
+    let parsed = parse_file(lex(CORPUS));
     let fn_names: Vec<&str> = parsed.fns.iter().map(|f| f.name.as_str()).collect();
     assert_eq!(
         fn_names,
@@ -93,7 +93,7 @@ fn parser_recovers_items_and_ignores_macro_bodies() {
 
 #[test]
 fn use_groups_renames_and_globs_resolve() {
-    let parsed = parse_file(tokenize(CORPUS));
+    let parsed = parse_file(lex(CORPUS));
     let find = |alias: &str| {
         parsed
             .imports

@@ -1,6 +1,6 @@
 //! Times the `sebs-audit` analysis engine over the real workspace and
-//! reports throughput: lines tokenized + lexically scanned per second, and
-//! graph symbols built + flow-checked per second.
+//! reports throughput: source lines lexed, parsed and lexically checked per
+//! second, and graph symbols built + flow-checked per second.
 //!
 //! Like the other bench binaries this is a plain timed loop, no criterion.
 //! Knobs: `SEBS_BENCH_REPS` (default 5) and `SEBS_BENCH_WARMUP`
@@ -8,14 +8,8 @@
 //! stay modest.
 
 use std::path::Path;
-use std::time::Duration;
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+use sebs_bench::{env_usize, sample};
 
 fn main() {
     sebs_bench::timed("audit_throughput", run);
@@ -23,25 +17,15 @@ fn main() {
 
 fn run() {
     let root = sebs_audit::find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")));
-    let reps = env_usize("SEBS_BENCH_REPS", 5);
+    // A median needs at least one timed pass.
+    let reps = env_usize("SEBS_BENCH_REPS", 5).max(1);
     let warmup = env_usize("SEBS_BENCH_WARMUP", 1);
-
-    for _ in 0..warmup {
-        std::hint::black_box(sebs_audit::audit_workspace(&root).expect("workspace is readable"));
-    }
-
-    let mut samples: Vec<(Duration, usize, usize)> = (0..reps)
-        .map(|_| {
-            // audit:allow(wall-clock): benchmark binary measures host time
-            // audit:allow(instant-usage): benchmark binary measures host time
-            let start = std::time::Instant::now();
-            let report =
-                std::hint::black_box(sebs_audit::audit_workspace(&root).expect("readable"));
-            (start.elapsed(), report.lines_scanned, report.symbol_count)
-        })
-        .collect();
-    samples.sort_by_key(|(d, _, _)| *d);
-    let (median, lines, symbols) = samples[samples.len() / 2];
+    let samples = sample(reps, warmup, || {
+        let report = std::hint::black_box(sebs_audit::audit_workspace(&root))
+            .expect("workspace is readable");
+        (report.lines_scanned, report.symbol_count)
+    });
+    let (median, (lines, symbols)) = samples[samples.len() / 2];
     let secs = median.as_secs_f64().max(1e-9);
 
     println!("== audit engine throughput (median of {reps} reps) ==");

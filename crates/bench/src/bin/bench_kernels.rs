@@ -4,15 +4,16 @@
 //! for `ops_per_sec_full_cpu`.
 //!
 //! The previous criterion harness pulled a large registry dependency tree;
-//! this binary keeps the workspace hermetic: it times each kernel with
-//! `std::time::Instant` directly and reports min/median per-iteration times.
+//! this binary keeps the workspace hermetic: it times each kernel with the
+//! host timer in [`sebs_bench::bench`] and reports min/median per-iteration
+//! times.
 //!
 //! Knobs: `SEBS_BENCH_REPS` (timed repetitions per kernel, default 11) and
 //! `SEBS_BENCH_WARMUP` (warm-up repetitions, default 2).
 
 use std::collections::BTreeMap;
-use std::time::Duration;
 
+use sebs_bench::bench;
 use sebs_sim::rng::Rng;
 use sebs_sim::SimRng;
 use sebs_workloads::compress::{compress, decompress};
@@ -25,39 +26,6 @@ use sebs_workloads::inference::{MiniResNet, Tensor};
 use sebs_workloads::squiggle::{downsample, squiggle};
 use sebs_workloads::templating::{Template, Value, PAGE_TEMPLATE};
 use sebs_workloads::video::{encode_gif_like, watermark, Clip};
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Times `f` and prints one result row. Wall-clock use is the whole point
-/// of a benchmark binary, so the determinism audit is waived per call site.
-fn bench<T>(name: &str, mut f: impl FnMut() -> T) {
-    let reps = env_usize("SEBS_BENCH_REPS", 11);
-    let warmup = env_usize("SEBS_BENCH_WARMUP", 2);
-    for _ in 0..warmup {
-        std::hint::black_box(f());
-    }
-    let mut samples: Vec<Duration> = (0..reps)
-        .map(|_| {
-            // audit:allow(wall-clock): benchmark binary measures host time
-            // audit:allow(instant-usage): benchmark binary measures host time
-            let start = std::time::Instant::now();
-            std::hint::black_box(f());
-            start.elapsed()
-        })
-        .collect();
-    samples.sort();
-    let min = samples.first().copied().unwrap_or_default();
-    let median = samples.get(samples.len() / 2).copied().unwrap_or_default();
-    println!(
-        "{name:<36} min {:>12.3?}  median {:>12.3?}  ({reps} reps)",
-        min, median
-    );
-}
 
 fn text_like_data(size: usize) -> Vec<u8> {
     let words = b"serverless benchmark suite function latency ";

@@ -8,45 +8,11 @@
 //! dependency-free timer. Knobs: `SEBS_BENCH_REPS` (default 11) and
 //! `SEBS_BENCH_WARMUP` (default 2).
 
-use std::time::Duration;
-
+use sebs_bench::bench;
 use sebs_platform::{EvictionPolicy, FaasPlatform, FunctionConfig, ProviderProfile};
 use sebs_sim::{Dist, SimDuration};
 use sebs_workloads::templating::DynamicHtml;
 use sebs_workloads::{Language, Scale};
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Times `f` and prints one result row. Wall-clock use is the whole point
-/// of a benchmark binary, so the determinism audit is waived per call site.
-fn bench<T>(name: &str, mut f: impl FnMut() -> T) {
-    let reps = env_usize("SEBS_BENCH_REPS", 11);
-    let warmup = env_usize("SEBS_BENCH_WARMUP", 2);
-    for _ in 0..warmup {
-        std::hint::black_box(f());
-    }
-    let mut samples: Vec<Duration> = (0..reps)
-        .map(|_| {
-            // audit:allow(wall-clock): benchmark binary measures host time
-            // audit:allow(instant-usage): benchmark binary measures host time
-            let start = std::time::Instant::now();
-            std::hint::black_box(f());
-            start.elapsed()
-        })
-        .collect();
-    samples.sort();
-    let min = samples.first().copied().unwrap_or_default();
-    let median = samples.get(samples.len() / 2).copied().unwrap_or_default();
-    println!(
-        "{name:<36} min {:>12.3?}  median {:>12.3?}  ({reps} reps)",
-        min, median
-    );
-}
 
 fn main() {
     sebs_bench::timed("bench_simulator", run);

@@ -11,6 +11,8 @@
 //! * `SEBS_JOBS` — worker threads for grid experiments (default: all
 //!   cores; results are byte-identical for any value).
 
+use std::time::Duration;
+
 use sebs::runner::available_jobs;
 use sebs::SuiteConfig;
 use sebs_workloads::Scale;
@@ -32,10 +34,7 @@ pub struct BenchEnv {
 impl BenchEnv {
     /// Reads `SEBS_SAMPLES`, `SEBS_SCALE`, `SEBS_SEED` and `SEBS_JOBS`.
     pub fn from_env() -> BenchEnv {
-        let samples = std::env::var("SEBS_SAMPLES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(50);
+        let samples = env_usize("SEBS_SAMPLES", 50);
         let scale = match std::env::var("SEBS_SCALE").as_deref() {
             Ok("small") => Scale::Small,
             Ok("large") => Scale::Large,
@@ -123,6 +122,51 @@ pub fn timed_with(name: &str, f: impl FnOnce() -> Vec<(String, f64)>) {
             Err(e) => eprintln!("[bench] cannot write {path}: {e}"),
         }
     }
+}
+
+/// Reads a count knob from the environment, `default` when unset or
+/// malformed.
+pub fn env_usize(name: &str, default: usize) -> usize {
+    std::env::var(name)
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}
+
+/// Runs `f` `warmup` times untimed, then `reps` times on the host clock;
+/// returns each timed run's wall time and result, fastest first.
+// audit:allow(wall-clock): the bench harness times real host work
+// audit:allow(instant-usage): the bench harness times real host work
+pub fn sample<T>(reps: usize, warmup: usize, mut f: impl FnMut() -> T) -> Vec<(Duration, T)> {
+    for _ in 0..warmup {
+        std::hint::black_box(f());
+    }
+    let mut samples: Vec<(Duration, T)> = (0..reps)
+        .map(|_| {
+            let start = std::time::Instant::now();
+            let out = std::hint::black_box(f());
+            (start.elapsed(), out)
+        })
+        .collect();
+    samples.sort_by_key(|(wall, _)| *wall);
+    samples
+}
+
+/// Times `f` and prints one result row: min and median per-call wall time
+/// over `SEBS_BENCH_REPS` (default 11) calls after `SEBS_BENCH_WARMUP`
+/// (default 2) untimed ones.
+pub fn bench<T>(name: &str, mut f: impl FnMut() -> T) {
+    let reps = env_usize("SEBS_BENCH_REPS", 11);
+    let warmup = env_usize("SEBS_BENCH_WARMUP", 2);
+    let samples = sample(reps, warmup, || {
+        std::hint::black_box(f());
+    });
+    let wall = |at: usize| samples.get(at).map(|(d, _)| *d).unwrap_or_default();
+    println!(
+        "{name:<36} min {:>12.3?}  median {:>12.3?}  ({reps} reps)",
+        wall(0),
+        wall(samples.len() / 2)
+    );
 }
 
 /// The `BENCH_<name>.json` document body.

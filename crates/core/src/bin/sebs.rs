@@ -1184,6 +1184,8 @@ mod tests {
         let faults = |line| flags("any", line).faults().unwrap_err();
         assert!(faults("--faults crash=2.0").contains("--faults"));
         assert!(faults("--faults").contains("needs a value"));
+        let outage = faults("--faults outage=0..inf@1");
+        assert!(outage.contains("--faults") && outage.contains("outage window end inf s"));
         let retry = flags("any", "--retry attempts=0").retry().unwrap_err();
         assert!(retry.contains("--retry"), "{retry}");
         let rates = |list| availability_axes(&mut flags("any", list)).unwrap_err();

@@ -182,10 +182,10 @@ pub fn fleet_report(config: &SuiteConfig, fleet: &FleetConfig, result: &FleetRes
 
     if !result.metrics.is_empty() {
         // Counters summed across cells, in canonical key order.
-        let mut totals: BTreeMap<SeriesKey, f64> = BTreeMap::new();
+        let mut totals: BTreeMap<&SeriesKey, f64> = BTreeMap::new();
         for chunk in result.metrics.chunks() {
             for (key, value) in &chunk.counters {
-                *totals.entry(key.clone()).or_insert(0.0) += value;
+                *totals.entry(&**key).or_insert(0.0) += value;
             }
         }
         let rows = totals

@@ -1728,7 +1728,7 @@ mod tests {
         let pools: Vec<&SeriesKey> = chunk
             .gauges
             .iter()
-            .map(|(key, _)| key)
+            .map(|(key, _)| &**key)
             .filter(|key| key.name == "sebs_containers_warm")
             .collect();
         let shared = [("pool".to_string(), "app:shared-app".to_string())];
@@ -1738,7 +1738,7 @@ mod tests {
             .counters
             .iter()
             .chain(&chunk.gauges)
-            .map(|(key, _)| key)
+            .map(|(key, _)| &**key)
             .chain(chunk.points.iter().map(|pt| &*pt.series))
             .filter(|key| key.labels.iter().any(|(label, _)| label == "pool"));
         assert!(pool_series.clone().all(|key| key.labels == shared));
@@ -1806,8 +1806,12 @@ mod tests {
         p.enable_metrics(SimDuration::from_secs(10));
         let (fid, wl, payload) = deploy_html(&mut p, 512);
         let per_invocation = |chunk: &MetricsChunk| -> Vec<String> {
-            let keys = chunk.counters.iter().chain(&chunk.gauges).map(|(k, _)| k);
-            keys.chain(chunk.histograms.iter().map(|(k, _)| k))
+            let keys = chunk
+                .counters
+                .iter()
+                .chain(&chunk.gauges)
+                .map(|(k, _)| &**k);
+            keys.chain(chunk.histograms.iter().map(|(k, _)| &**k))
                 .chain(chunk.points.iter().map(|pt| &*pt.series))
                 .filter(|k| k.labels.iter().any(|(label, _)| label == "function"))
                 .map(|k| k.name.clone())
@@ -2137,7 +2141,7 @@ mod tests {
             chunk
                 .counters
                 .iter()
-                .find(|(k, _)| *k == key)
+                .find(|(k, _)| **k == key)
                 .map(|(_, v)| *v)
         };
         assert_eq!(
@@ -2192,7 +2196,7 @@ mod tests {
             chunk
                 .gauges
                 .iter()
-                .find(|(k, _)| *k == key)
+                .find(|(k, _)| **k == key)
                 .map(|(_, v)| *v)
         };
         assert_eq!(gauge("sebs_concurrency_limit"), Some(1000.0));

@@ -249,6 +249,14 @@ fn parse_window(key: &str, value: &str) -> Result<(SimTime, SimTime, f64), Strin
     if !(from >= 0.0 && to > from) {
         return Err(format!("{key} window {from}..{to} is empty or negative"));
     }
+    // `SimDuration::from_secs_f64` maps an infinite end to zero (an empty
+    // window) and saturates one past the clock, so refuse both by name.
+    if to.is_infinite() || to * 1e9 >= u64::MAX as f64 {
+        return Err(format!(
+            "{key} window end {to} s does not fit the simulator clock (at most {} s)",
+            u64::MAX / 1_000_000_000
+        ));
+    }
     let p = parse_rate(key, p)?;
     Ok((
         SimTime::ZERO + SimDuration::from_secs_f64(from),
@@ -681,6 +689,9 @@ mod tests {
             "outage=20..10@0.5",
             "storm=a..b@0.5",
             "frobnicate=1",
+            "outage=10..inf@1.0",
+            "storm=0..inf@0.5",
+            "host=1e300..1e301@1",
         ] {
             assert!(FaultPlan::parse(bad).is_err(), "`{bad}` should be rejected");
         }

@@ -81,13 +81,15 @@ impl NameKeyed {
             histograms,
             points,
         } = std::mem::take(self);
-        let unshare = |(k, v): (Arc<SeriesKey>, f64)| (Arc::unwrap_or_clone(k), v);
         MetricsChunk {
             provider: provider.to_string(),
             cell: None,
-            counters: counters.into_iter().map(unshare).collect(),
-            gauges: gauges.into_iter().map(unshare).collect(),
-            histograms: histograms.into_iter().collect(),
+            counters: counters.into_iter().collect(),
+            gauges: gauges.into_iter().collect(),
+            histograms: histograms
+                .into_iter()
+                .map(|(k, h)| (Arc::new(k), h))
+                .collect(),
             points,
         }
     }

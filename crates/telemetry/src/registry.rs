@@ -10,7 +10,8 @@
 //! dormant. Walking the index yields key order, so every export is a pure
 //! function of the recorded data, never of registration order or hashing.
 //! Each key is allocated once, at registration, and shared behind an
-//! `Arc` with every sampled [`crate::MetricPoint`] of that series.
+//! `Arc` with every sampled [`crate::MetricPoint`] of that series and
+//! every drained [`crate::MetricsChunk`].
 
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
@@ -111,11 +112,11 @@ impl<T> Family<T> {
     }
 
     /// Takes every written value in key order, leaving its slot dormant.
-    fn drain<V>(&mut self, mut take: impl FnMut(&mut T) -> Option<V>) -> Vec<(SeriesKey, V)> {
+    fn drain<V>(&mut self, mut take: impl FnMut(&mut T) -> Option<V>) -> Vec<(Arc<SeriesKey>, V)> {
         let slots = &mut self.slots;
         self.index
             .iter()
-            .filter_map(|(k, &at)| take(&mut slots[at]).map(|v| (SeriesKey::clone(k), v)))
+            .filter_map(|(k, &at)| take(&mut slots[at]).map(|v| (Arc::clone(k), v)))
             .collect()
     }
 }
@@ -264,9 +265,9 @@ impl MetricsRegistry {
     pub(crate) fn drain(
         &mut self,
     ) -> (
-        Vec<(SeriesKey, f64)>,
-        Vec<(SeriesKey, f64)>,
-        Vec<(SeriesKey, SimHistogram)>,
+        Vec<(Arc<SeriesKey>, f64)>,
+        Vec<(Arc<SeriesKey>, f64)>,
+        Vec<(Arc<SeriesKey>, SimHistogram)>,
     ) {
         (
             self.counters.drain(Option::take),

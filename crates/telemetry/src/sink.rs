@@ -1,6 +1,8 @@
 //! Collection and canonical merging of per-platform metric chunks — the
 //! same determinism contract as `TraceSink` and `ResultStore`.
 
+use std::sync::Arc;
+
 use crate::histogram::SimHistogram;
 use crate::hub::MetricPoint;
 use crate::registry::SeriesKey;
@@ -14,12 +16,13 @@ pub struct MetricsChunk {
     /// Grid-cell index when collected inside a grid experiment; `None`
     /// for ad-hoc runs. The canonical sort key.
     pub cell: Option<u64>,
-    /// Final counter values, in key order.
-    pub counters: Vec<(SeriesKey, f64)>,
+    /// Final counter values, in key order. Keys are shared with the
+    /// registry that drained them.
+    pub counters: Vec<(Arc<SeriesKey>, f64)>,
     /// Final gauge values, in key order.
-    pub gauges: Vec<(SeriesKey, f64)>,
+    pub gauges: Vec<(Arc<SeriesKey>, f64)>,
     /// Final histograms, in key order.
-    pub histograms: Vec<(SeriesKey, SimHistogram)>,
+    pub histograms: Vec<(Arc<SeriesKey>, SimHistogram)>,
     /// Sampled time series, in (tick, key) order.
     pub points: Vec<MetricPoint>,
 }
@@ -118,7 +121,7 @@ mod tests {
         MetricsChunk {
             provider: provider.to_string(),
             cell,
-            counters: vec![(SeriesKey::new("c", &[]), 1.0)],
+            counters: vec![(Arc::new(SeriesKey::new("c", &[])), 1.0)],
             gauges: Vec::new(),
             histograms: Vec::new(),
             points: Vec::new(),
@@ -168,7 +171,8 @@ mod tests {
         let mut c = chunk("aws", None);
         assert!(!c.is_idle(), "a counter is activity");
         c.counters.clear();
-        c.gauges.push((SeriesKey::new("limit", &[]), 1000.0));
+        c.gauges
+            .push((Arc::new(SeriesKey::new("limit", &[])), 1000.0));
         assert!(c.is_idle(), "gauges alone are not activity");
     }
 
