@@ -160,6 +160,9 @@ pub struct ClusterPlatform {
     config: ClusterConfig,
     hosts: Vec<Host>,
     scheduler: Box<dyn Scheduler>,
+    /// The candidate slate of the current dispatch, kept between
+    /// dispatches so building it allocates nothing.
+    slate: Vec<HostView>,
     keepalive: Box<dyn KeepAlivePolicy>,
     functions: Vec<FnMeta>,
     now: SimTime,
@@ -190,7 +193,7 @@ impl ClusterPlatform {
     /// the same seed under names no single-box concern uses.
     pub fn new(config: ClusterConfig, seed: u64) -> ClusterPlatform {
         let root = SimRng::new(seed);
-        let hosts = (0..config.hosts.max(1))
+        let hosts: Vec<Host> = (0..config.hosts.max(1))
             .map(|id| {
                 Host::new(
                     id,
@@ -203,6 +206,7 @@ impl ClusterPlatform {
             .collect();
         ClusterPlatform {
             scheduler: config.scheduler.build(),
+            slate: Vec::with_capacity(hosts.len()),
             keepalive: config.keepalive.build(),
             hosts,
             functions: Vec::new(),
@@ -449,7 +453,7 @@ impl ClusterPlatform {
         let at = self.now;
         self.sync_crashes(at);
 
-        let mut views: Vec<HostView> = Vec::with_capacity(self.hosts.len());
+        self.slate.clear();
         let mut any_alive = false;
         for host in &mut self.hosts {
             if !host.is_up(at) {
@@ -460,7 +464,7 @@ impl ClusterPlatform {
             if !host.has_capacity() {
                 continue;
             }
-            views.push(HostView {
+            self.slate.push(HostView {
                 id: host.id(),
                 inflight: host.inflight(),
                 running: host.running(),
@@ -472,16 +476,16 @@ impl ClusterPlatform {
             self.stats.unavailable += 1;
             return self.rejected(id, InvocationOutcome::ServiceUnavailable);
         }
-        if views.is_empty() {
+        if self.slate.is_empty() {
             self.stats.shed += 1;
             return self.rejected(id, InvocationOutcome::Throttled);
         }
 
         // The scheduler only runs — and may only draw — on a real choice.
-        let picked = if views.len() == 1 {
-            views[0].id
+        let picked = if self.slate.len() == 1 {
+            self.slate[0].id
         } else {
-            self.scheduler.pick(&views, &mut self.rng_sched)
+            self.scheduler.pick(&self.slate, &mut self.rng_sched)
         };
         let idx = picked as usize;
         let queue_wait = self.hosts[idx].queue_wait(at);

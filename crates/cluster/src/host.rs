@@ -30,7 +30,9 @@ pub struct Host {
     queue_depth: u32,
     /// Down (crashed, not yet recovered) until this instant, exclusive.
     down_until: Option<SimTime>,
-    /// Completion times (cluster clock) of admitted invocations.
+    /// Completion times (cluster clock) of admitted invocations, kept
+    /// sorted ascending so pruning drains a prefix and the queue wait
+    /// reads one entry.
     inflight: Vec<SimTime>,
     served: u64,
     cold_starts: u64,
@@ -112,7 +114,8 @@ impl Host {
 
     /// Drops inflight entries that completed at or before `now`.
     pub(crate) fn prune_inflight(&mut self, now: SimTime) {
-        self.inflight.retain(|end| *end > now);
+        let done = self.inflight.partition_point(|end| *end <= now);
+        self.inflight.drain(..done);
     }
 
     /// How long a request admitted at `now` waits for a CPU: zero with a
@@ -123,9 +126,7 @@ impl Host {
         if m < cpus {
             return SimDuration::ZERO;
         }
-        let mut ends = self.inflight.clone();
-        ends.sort_unstable();
-        let free_at = ends[m - cpus];
+        let free_at = self.inflight[m - cpus];
         if free_at > now {
             free_at - now
         } else {
@@ -135,7 +136,8 @@ impl Host {
 
     /// Records an admitted invocation completing at `end`.
     pub(crate) fn push_inflight(&mut self, end: SimTime) {
-        self.inflight.push(end);
+        let at = self.inflight.partition_point(|e| *e <= end);
+        self.inflight.insert(at, end);
     }
 
     /// Applies a crash at `at`, recovering at `until`: the warm pool is
@@ -227,6 +229,72 @@ mod tests {
         h.prune_inflight(at(25));
         assert_eq!(h.inflight(), 2);
         assert!(h.has_capacity());
+    }
+
+    /// The in-flight bookkeeping as it was before the list was kept
+    /// sorted: pushes append, pruning filters, and the queue wait clones
+    /// and sorts the list.
+    struct CloneAndSort {
+        cpus: usize,
+        inflight: Vec<SimTime>,
+    }
+
+    impl CloneAndSort {
+        fn queue_wait(&self, now: SimTime) -> SimDuration {
+            let m = self.inflight.len();
+            if m < self.cpus {
+                return SimDuration::ZERO;
+            }
+            let mut ends = self.inflight.clone();
+            ends.sort_unstable();
+            let free_at = ends[m - self.cpus];
+            if free_at > now {
+                free_at - now
+            } else {
+                SimDuration::ZERO
+            }
+        }
+    }
+
+    #[test]
+    fn sorted_inflight_matches_sorting_on_every_wait() {
+        use sebs_sim::rng::Rng;
+        let mut draws = sebs_sim::SimRng::new(9).stream("inflight");
+        for cpus in [1, 2, 3, 4, 8] {
+            let mut h = Host::new(0, ProviderProfile::aws(), 7, cpus, 16);
+            let mut reference = CloneAndSort {
+                cpus: cpus as usize,
+                inflight: Vec::new(),
+            };
+            let mut now = at(0);
+            for step in 0..2_000 {
+                // Completion times repeat (whole seconds over a short
+                // range), so equal entries are inserted and pruned too.
+                match draws.gen_range(0..8) {
+                    0..=3 => {
+                        let end = now + SimDuration::from_secs(draws.gen_range(0..20));
+                        h.push_inflight(end);
+                        reference.inflight.push(end);
+                    }
+                    4..=5 => {
+                        now += SimDuration::from_secs(draws.gen_range(0..4));
+                        h.prune_inflight(now);
+                        reference.inflight.retain(|end| *end > now);
+                    }
+                    6 => {
+                        let probe = now + SimDuration::from_secs(draws.gen_range(0..6));
+                        assert_eq!(
+                            h.queue_wait(probe),
+                            reference.queue_wait(probe),
+                            "cpus {cpus}, step {step}"
+                        );
+                    }
+                    _ => {}
+                }
+                assert_eq!(h.inflight(), reference.inflight.len(), "step {step}");
+                assert_eq!(h.queue_wait(now), reference.queue_wait(now), "step {step}");
+            }
+        }
     }
 
     #[test]

@@ -50,4 +50,6 @@ pub use host::{Host, HostStats};
 pub use keepalive::{
     FixedKeepAlive, HybridHistogram, KeepAliveKind, KeepAlivePolicy, ProviderBaseline,
 };
-pub use scheduler::{HostView, LeastLoaded, Locality, RandomK, Scheduler, SchedulerKind};
+pub use scheduler::{
+    HostView, LeastLoaded, Locality, RandomK, Scheduler, SchedulerKind, MAX_RANDOM_K,
+};

@@ -60,13 +60,17 @@ impl Scheduler for LeastLoaded {
 }
 
 /// Power-of-k-choices: samples `k` candidates uniformly (with
-/// replacement) and takes the least loaded of the sample. Draws exactly
-/// `k` values per decision.
+/// replacement) and takes the least loaded of the sample (ties to the
+/// lowest id). Draws exactly `k` values per decision.
 #[derive(Debug, Clone, Copy)]
 pub struct RandomK {
     /// Sample size (`k = 2` is the classic power-of-two-choices).
     pub k: u32,
 }
+
+/// The largest sample size [`SchedulerKind::parse`] accepts for
+/// `random-<k>`: each contested dispatch makes `k` draws.
+pub const MAX_RANDOM_K: u32 = 64;
 
 impl Scheduler for RandomK {
     fn label(&self) -> String {
@@ -74,12 +78,14 @@ impl Scheduler for RandomK {
     }
 
     fn pick(&mut self, candidates: &[HostView], rng: &mut StreamRng) -> u32 {
-        let mut sample: Vec<HostView> = Vec::with_capacity(self.k.max(1) as usize);
-        for _ in 0..self.k.max(1) {
-            let i = rng.gen_range(0..candidates.len());
-            sample.push(candidates[i]);
+        let mut best = candidates[rng.gen_range(0..candidates.len())];
+        for _ in 1..self.k.max(1) {
+            let c = candidates[rng.gen_range(0..candidates.len())];
+            if (c.inflight, c.id) < (best.inflight, best.id) {
+                best = c;
+            }
         }
-        least_loaded_of(&sample)
+        best.id
     }
 }
 
@@ -127,11 +133,13 @@ pub enum SchedulerKind {
 }
 
 impl SchedulerKind {
-    /// Parses a label: `least-loaded`, `random-<k>` or `locality`.
+    /// Parses a label: `least-loaded`, `random-<k>` (`k` from 1 to
+    /// [`MAX_RANDOM_K`]) or `locality`.
     ///
     /// # Errors
     ///
-    /// Returns a message listing the valid labels.
+    /// Returns a message listing the valid labels, or naming the limit
+    /// `k` broke.
     pub fn parse(s: &str) -> Result<SchedulerKind, String> {
         let s = s.trim();
         if s == "least-loaded" {
@@ -146,6 +154,11 @@ impl SchedulerKind {
                 .map_err(|e| format!("bad random-k sample size `{k}`: {e}"))?;
             if k == 0 {
                 return Err("random-k sample size must be >= 1".to_string());
+            }
+            if k > MAX_RANDOM_K {
+                return Err(format!(
+                    "random-k sample size {k} is above the maximum of {MAX_RANDOM_K}"
+                ));
             }
             return Ok(SchedulerKind::RandomK(k));
         }
@@ -215,6 +228,37 @@ mod tests {
         assert_eq!(s.pick(&slate, &mut r2), picked);
     }
 
+    /// `RandomK::pick` as it was before the running minimum: the draws
+    /// are collected into a sample first.
+    fn collect_then_pick(k: u32, candidates: &[HostView], rng: &mut StreamRng) -> u32 {
+        let mut sample: Vec<HostView> = Vec::with_capacity(k.max(1) as usize);
+        for _ in 0..k.max(1) {
+            let i = rng.gen_range(0..candidates.len());
+            sample.push(candidates[i]);
+        }
+        least_loaded_of(&sample)
+    }
+
+    #[test]
+    fn running_minimum_matches_collecting_the_sample() {
+        let mut slates = SimRng::new(12).stream("slates");
+        let (mut r, mut reference) = (rng(), rng());
+        for case in 0..2_000 {
+            let k = slates.gen_range(1..=8u32);
+            // Loads repeat across hosts, so ties on `inflight` are common.
+            let slate: Vec<HostView> = (0..slates.gen_range(1..=8u32))
+                .map(|id| view(id * 2, slates.gen_range(0..4), 0, 0))
+                .collect();
+            let picked = RandomK { k }.pick(&slate, &mut r);
+            assert_eq!(
+                picked,
+                collect_then_pick(k, &slate, &mut reference),
+                "case {case}: k {k}, slate {slate:?}"
+            );
+            assert_eq!(r, reference, "case {case}: same draws");
+        }
+    }
+
     #[test]
     fn locality_prefers_warm_then_packs() {
         let mut s = Locality;
@@ -252,5 +296,17 @@ mod tests {
         assert!(SchedulerKind::parse("random-0").is_err());
         let err = SchedulerKind::parse("frobnicate").unwrap_err();
         assert!(err.contains("least-loaded"), "{err}");
+    }
+
+    #[test]
+    fn random_k_is_bounded() {
+        assert_eq!(
+            SchedulerKind::parse("random-64").unwrap(),
+            SchedulerKind::RandomK(MAX_RANDOM_K)
+        );
+        for label in ["random-65", "random-4294967295"] {
+            let err = SchedulerKind::parse(label).unwrap_err();
+            assert!(err.contains("maximum of 64"), "{err}");
+        }
     }
 }

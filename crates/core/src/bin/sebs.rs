@@ -90,7 +90,8 @@ USAGE:
                 [--contention F]              (per-co-located-invocation I/O
                                                inflation; 0 disables)
                 [--schedulers S1,S2,...]      (least-loaded, random-<k>,
-                                               locality; default all three)
+                                               locality; k <= 64; default
+                                               all three)
                 [--keepalives K1,K2,...]      (provider, fixed-<secs>, hybrid;
                                                default all three)
                 [--host-fault-rates R1,...]   (host-crash intensities;

@@ -60,7 +60,7 @@ impl Workload for SleepWorkload {
         // Sleeping is I/O-shaped work: occupies the sandbox without CPU.
         ctx.external_io(self.sleep);
         ctx.work(10_000);
-        Ok(Response::new("slept", "sleep"))
+        Ok(Response::new("slept"))
     }
 }
 

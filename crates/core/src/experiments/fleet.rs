@@ -16,8 +16,6 @@
 //! and traces/metrics/rows merge in canonical cell order — so every
 //! export is byte-identical for any `--jobs`.
 
-use std::collections::BTreeMap;
-
 use sebs_metrics::{Measurement, QuantileSketch, ResultStore};
 use sebs_platform::{
     FaasPlatform, FunctionConfig, FunctionId, InvocationOutcome, ProviderKind, ProviderProfile,
@@ -285,7 +283,11 @@ fn sample_cell(
         platform.enable_profiling();
     }
 
-    let mut deployed: BTreeMap<u32, (FunctionId, SyntheticFunction)> = BTreeMap::new();
+    // The cell's functions in deploy order, and each model function's
+    // position among them (`u32::MAX` for functions of other cells), so
+    // an arrival finds its function by two indexed loads.
+    let mut deployed: Vec<(FunctionId, SyntheticFunction)> = Vec::with_capacity(fn_indices.len());
+    let mut position = vec![u32::MAX; model.functions.len()];
     for &fi in fn_indices {
         let profile = &model.functions[fi].profile;
         let cfg = FunctionConfig::new(&profile.name, profile.language, profile.memory_mb);
@@ -294,10 +296,8 @@ fn sample_cell(
             .profile()
             .compute_rate(profile.memory_mb, profile.language)
             / 1000.0;
-        deployed.insert(
-            fi as u32,
-            (id, SyntheticFunction::from_profile(profile, ops_per_ms)),
-        );
+        position[fi] = deployed.len() as u32;
+        deployed.push((id, SyntheticFunction::from_profile(profile, ops_per_ms)));
     }
 
     let mut series = FleetCellSeries {
@@ -319,13 +319,16 @@ fn sample_cell(
         match ev {
             Event::Sample(_) => {
                 let warm: usize = deployed
-                    .values()
+                    .iter()
                     .map(|(id, _)| platform.observe_pool(*id).warm)
                     .sum();
                 series.warm_pool_samples.push(warm as u64);
             }
             Event::Arrival(a) => {
-                let Some((id, workload)) = deployed.get(&a.function) else {
+                let Some((id, workload)) = position
+                    .get(a.function as usize)
+                    .and_then(|&p| deployed.get(p as usize))
+                else {
                     continue;
                 };
                 let record = platform.invoke(*id, workload, &payload);

@@ -55,10 +55,10 @@ impl Workload for EchoWorkload {
     ) -> Result<Response, WorkloadError> {
         // One pass over the payload — the language worker at least reads it.
         ctx.work(payload.size_bytes() / 8 + 1_000);
-        Ok(Response::new(
-            format!("{{\"bytes\":{}}}", payload.size_bytes()),
-            "echo",
-        ))
+        Ok(Response::new(format!(
+            "{{\"bytes\":{}}}",
+            payload.size_bytes()
+        )))
     }
 }
 

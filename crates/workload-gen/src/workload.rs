@@ -10,7 +10,9 @@ use sebs_workloads::{
 /// Replays one fleet member's resource profile as an executable
 /// workload: each invocation samples a body duration (expressed as
 /// abstract work units) and a working-set size from the profile's
-/// distributions on the sandbox's own RNG stream.
+/// distributions on the sandbox's own RNG stream, and returns a
+/// body-less [`Response::sized`] of the profile's response size, so an
+/// invocation allocates nothing.
 #[derive(Debug, Clone)]
 pub struct SyntheticFunction {
     spec: WorkloadSpec,
@@ -67,10 +69,7 @@ impl Workload for SyntheticFunction {
         ctx.alloc(bytes);
         ctx.work(work);
         ctx.free(bytes);
-        Ok(Response::new(
-            vec![0_u8; self.response_bytes as usize],
-            "synthetic fleet kernel",
-        ))
+        Ok(Response::sized(self.response_bytes))
     }
 }
 
@@ -98,7 +97,7 @@ mod tests {
         // 25 % of 256 MB touched, then released.
         assert_eq!(ctx.peak_alloc_bytes(), 256 * 1024 * 1024 / 4);
         assert_eq!(ctx.live_alloc_bytes(), 0);
-        assert_eq!(resp.size_bytes(), 1024);
+        assert_eq!(resp, Response::sized(1024), "the profile's size, no body");
         assert_eq!(w.spec().default_memory_mb, 256);
     }
 

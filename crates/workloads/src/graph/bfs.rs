@@ -303,15 +303,8 @@ impl Workload for GraphBfs {
         for d in &stats.dist {
             body.extend_from_slice(&d.to_le_bytes());
         }
-        let reached = stats.dist.iter().filter(|&&d| d != UNREACHED).count();
         ctx.free(g.byte_len() as u64);
-        Ok(Response::new(
-            body,
-            format!(
-                "bfs reached {reached}/{n} vertices (td {} / bu {} steps)",
-                stats.top_down_steps, stats.bottom_up_steps
-            ),
-        ))
+        Ok(Response::new(body))
     }
 }
 
@@ -428,7 +421,16 @@ mod tests {
         let resp = wl.execute(&payload, &mut ctx).unwrap();
         // Returns the full distance array: 256 vertices * 4 bytes.
         assert_eq!(resp.size_bytes(), 1024);
-        assert!(resp.summary.contains("bfs reached"));
+        let dist: Vec<u32> = resp
+            .body()
+            .unwrap()
+            .chunks(4)
+            .map(|d| u32::from_le_bytes(d.try_into().unwrap()))
+            .collect();
+        assert!(
+            dist.contains(&0) && dist.iter().any(|&d| d != 0 && d != UNREACHED),
+            "the search reached past its source"
+        );
         assert!(ctx.counters().instructions > 10_000);
         assert_eq!(
             ctx.counters().storage_requests,

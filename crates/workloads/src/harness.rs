@@ -106,27 +106,47 @@ impl Payload {
 }
 
 /// The response a function returns to its trigger.
+///
+/// A response carries its size in bytes, which is all the platform reads:
+/// it sets the response transfer time and the egress charge (paper §6.3
+/// Q4: graph-bfs returns ≈78 kB, thumbnailer ≈3 kB). It holds a body only
+/// when a kernel produced real bytes. The paper kernels build theirs with
+/// [`Response::new`]; a synthetic fleet function returns a body-less
+/// [`Response::sized`], which allocates nothing. Either way the size is
+/// fixed at construction, so it always matches the body when there is one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Response {
-    /// Response body returned to the client (eats into egress pricing —
-    /// paper §6.3 Q4: graph-bfs returns ≈78 kB, thumbnailer ≈3 kB).
-    pub body: Bytes,
-    /// Human-readable result summary for logs.
-    pub summary: String,
+    size_bytes: u64,
+    body: Option<Bytes>,
 }
 
 impl Response {
-    /// Builds a response from raw bytes and a summary line.
-    pub fn new(body: impl Into<Bytes>, summary: impl Into<String>) -> Self {
+    /// A response carrying `body`; its size is the body's length.
+    pub fn new(body: impl Into<Bytes>) -> Self {
+        let body = body.into();
         Response {
-            body: body.into(),
-            summary: summary.into(),
+            size_bytes: body.len() as u64,
+            body: Some(body),
+        }
+    }
+
+    /// A body-less response of `size_bytes` bytes, for a kernel whose
+    /// output only matters by its size.
+    pub fn sized(size_bytes: u64) -> Self {
+        Response {
+            size_bytes,
+            body: None,
         }
     }
 
     /// Response size in bytes.
     pub fn size_bytes(&self) -> u64 {
-        self.body.len() as u64
+        self.size_bytes
+    }
+
+    /// The body, or `None` for a [`Response::sized`] response.
+    pub fn body(&self) -> Option<&[u8]> {
+        self.body.as_deref()
     }
 }
 
@@ -500,9 +520,11 @@ mod tests {
 
     #[test]
     fn response_size() {
-        let r = Response::new(vec![0u8; 78_000], "graph data");
+        let r = Response::new(vec![7u8; 78_000]);
         assert_eq!(r.size_bytes(), 78_000);
-        assert_eq!(r.summary, "graph data");
+        assert_eq!(r.body().map(<[u8]>::len), Some(78_000));
+        let sized = Response::sized(1024);
+        assert_eq!((sized.size_bytes(), sized.body()), (1024, None));
     }
 
     #[test]

@@ -371,16 +371,7 @@ impl Workload for Thumbnailer {
         )?;
         ctx.free((img.byte_len() + thumb.byte_len()) as u64);
 
-        Ok(Response::new(
-            packed,
-            format!(
-                "thumbnailed {}x{} -> {}x{}",
-                img.width(),
-                img.height(),
-                thumb.width(),
-                thumb.height()
-            ),
-        ))
+        Ok(Response::new(packed))
     }
 }
 
@@ -503,7 +494,7 @@ mod tests {
         let payload = wl.prepare(Scale::Test, &mut rng, &mut store);
         let mut ctx = InvocationCtx::new(&mut store, &mut rng);
         let resp = wl.execute(&payload, &mut ctx).unwrap();
-        let (w, h, pixels) = decode_lossy_thumbnail(&resp.body).unwrap();
+        let (w, h, pixels) = decode_lossy_thumbnail(resp.body().unwrap()).unwrap();
         assert!(w <= 200 && h <= 200);
         assert_eq!(pixels.len(), (w * h) as usize);
         assert_eq!(ctx.counters().storage_requests, 2, "one get, one put");

@@ -522,13 +522,10 @@ impl Workload for ImageRecognition {
         let label = &net.labels[best];
         ctx.free((input.len() * 4) as u64);
 
-        Ok(Response::new(
-            format!(
-                "{{\"label\":\"{label}\",\"confidence\":{:.4}}}",
-                probs[best]
-            ),
-            format!("classified as {label} (p={:.3})", probs[best]),
-        ))
+        Ok(Response::new(format!(
+            "{{\"label\":\"{label}\",\"confidence\":{:.4}}}",
+            probs[best]
+        )))
     }
 }
 
@@ -698,12 +695,13 @@ mod tests {
             let resp = wl.execute(&payload_warm, &mut ctx).unwrap();
             (ctx.io_time(), resp)
         };
-        assert_eq!(cold_resp.body, warm_resp.body, "same classification");
+        assert_eq!(cold_resp.body(), warm_resp.body(), "same classification");
         assert!(
             cold_io.as_secs_f64() > 3.0 * warm_io.as_secs_f64(),
             "cold {cold_io} must dwarf warm {warm_io}"
         );
-        assert!(cold_resp.summary.contains("classified as class-"));
+        let body = std::str::from_utf8(cold_resp.body().unwrap()).unwrap();
+        assert!(body.starts_with("{\"label\":\"class-"), "{body}");
     }
 
     #[test]

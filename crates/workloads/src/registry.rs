@@ -168,8 +168,8 @@ mod tests {
                 .execute(&payload, &mut ctx)
                 .unwrap_or_else(|e| panic!("{} failed: {e}", r.workload.spec().name));
             assert!(
-                !resp.summary.is_empty(),
-                "{} returned an empty summary",
+                resp.body().is_some_and(|b| !b.is_empty()),
+                "{} returned an empty body",
                 r.workload.spec().name
             );
             assert!(

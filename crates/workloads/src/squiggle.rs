@@ -122,18 +122,6 @@ pub fn to_json(points: &[Point]) -> String {
     s
 }
 
-/// GC content of a sequence — used as a sanity metric in the response.
-pub fn gc_content(seq: &[u8]) -> f64 {
-    if seq.is_empty() {
-        return 0.0;
-    }
-    let gc = seq
-        .iter()
-        .filter(|b| matches!(b.to_ascii_uppercase(), b'G' | b'C'))
-        .count();
-    gc as f64 / seq.len() as f64
-}
-
 /// Bucket for data-vis inputs and cached outputs.
 pub const BUCKET: &str = "datavis-cache";
 /// Input sequence key.
@@ -252,16 +240,7 @@ impl Workload for DataVis {
         )?;
         ctx.free((data.len() + points.len() * 16) as u64);
 
-        let gc = gc_content(seq);
-        Ok(Response::new(
-            json,
-            format!(
-                "visualized {} bases ({} plot points, GC {:.1}%)",
-                seq.len(),
-                plot.len(),
-                gc * 100.0
-            ),
-        ))
+        Ok(Response::new(json))
     }
 }
 
@@ -332,14 +311,6 @@ mod tests {
     }
 
     #[test]
-    fn gc_content_values() {
-        assert_eq!(gc_content(b"GGCC"), 1.0);
-        assert_eq!(gc_content(b"AATT"), 0.0);
-        assert_eq!(gc_content(b"ACGT"), 0.5);
-        assert_eq!(gc_content(b""), 0.0);
-    }
-
-    #[test]
     fn benchmark_end_to_end() {
         let wl = DataVis::new(Language::Python);
         let mut store = SimObjectStore::local_minio_model();
@@ -347,11 +318,16 @@ mod tests {
         let payload = wl.prepare(Scale::Test, &mut rng, &mut store);
         let mut ctx = InvocationCtx::new(&mut store, &mut rng);
         let resp = wl.execute(&payload, &mut ctx).unwrap();
-        assert!(resp.summary.contains("visualized 10000 bases"));
+        // 40 ops per base, 6 per squiggle point (two per base plus one) and
+        // one per response byte: all 10,000 bases were visualized.
+        assert_eq!(
+            ctx.counters().instructions,
+            52 * 10_000 + 6 + resp.size_bytes()
+        );
         assert!(store
             .size_of(BUCKET, "sequence.fasta.squiggle.json")
             .is_some());
-        let json = std::str::from_utf8(&resp.body).unwrap();
+        let json = std::str::from_utf8(resp.body().unwrap()).unwrap();
         assert!(json.starts_with("[[") && json.ends_with("]]"));
         // Response bounded by the plotting budget, not the input size.
         assert!(resp.size_bytes() < 100_000);

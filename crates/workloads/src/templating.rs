@@ -10,7 +10,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use sebs_sim::bytes::Bytes;
 use sebs_sim::rng::{Rng, StreamRng};
 use sebs_storage::ObjectStorage;
 
@@ -398,12 +397,8 @@ impl Workload for DynamicHtml {
         // input; scale rendering work up to the cost of an interpreted engine.
         ctx.work(work * 120);
         ctx.alloc(html.len() as u64);
-        let body = Bytes::from(html);
         ctx.free((size * 24) as u64);
-        Ok(Response::new(
-            body.clone(),
-            format!("rendered {} bytes of HTML", body.len()),
-        ))
+        Ok(Response::new(html))
     }
 }
 
@@ -517,7 +512,7 @@ mod tests {
         let payload = wl.prepare(Scale::Test, &mut rng, &mut store);
         let mut ctx = InvocationCtx::new(&mut store, &mut rng);
         let resp = wl.execute(&payload, &mut ctx).unwrap();
-        let html = std::str::from_utf8(&resp.body).unwrap();
+        let html = std::str::from_utf8(resp.body().unwrap()).unwrap();
         assert!(html.contains("Welcome benchmark-user!"));
         assert_eq!(html.matches("<tr>").count(), 100);
         assert!(ctx.counters().instructions > 0);
@@ -550,7 +545,7 @@ mod tests {
             let (mut store, mut rng) = ctx_parts();
             let payload = wl.prepare(Scale::Test, &mut rng, &mut store);
             let mut ctx = InvocationCtx::new(&mut store, &mut rng);
-            wl.execute(&payload, &mut ctx).unwrap().body
+            wl.execute(&payload, &mut ctx).unwrap()
         };
         assert_eq!(run(), run());
     }

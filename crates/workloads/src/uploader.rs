@@ -120,10 +120,7 @@ impl Workload for Uploader {
         let body = format!(
             "{{\"url\":\"{url}\",\"key\":\"{key}\",\"sha\":\"{checksum:016x}\",\"bytes\":{size}}}"
         );
-        Ok(Response::new(
-            body,
-            format!("uploaded {size} bytes as {key}"),
-        ))
+        Ok(Response::new(body))
     }
 }
 
@@ -150,8 +147,7 @@ mod tests {
         let (resp, stats, _, _) = run(Scale::Test);
         assert_eq!(stats.puts, 1);
         assert_eq!(stats.bytes_in, 64 * 1024);
-        assert!(resp.summary.contains("uploaded 65536 bytes"));
-        let body = std::str::from_utf8(&resp.body).unwrap();
+        let body = std::str::from_utf8(resp.body().unwrap()).unwrap();
         assert!(body.contains("\"bytes\":65536"));
     }
 
@@ -183,8 +179,8 @@ mod tests {
     fn checksum_is_deterministic_and_key_is_stable() {
         let (a, _, _, _) = run(Scale::Test);
         let (b, _, _, _) = run(Scale::Test);
-        assert_eq!(a.body, b.body, "same seed, same checksum");
-        let body = std::str::from_utf8(&a.body).unwrap();
+        assert_eq!(a.body(), b.body(), "same seed, same checksum");
+        let body = std::str::from_utf8(a.body().unwrap()).unwrap();
         assert!(body.contains("upload-latest.bin"));
         assert!(body.contains("\"sha\""));
     }

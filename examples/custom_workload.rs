@@ -67,10 +67,11 @@ impl Workload for MonteCarloPi {
         // ~30 interpreted ops per sample (two RNG draws + arithmetic).
         ctx.work(samples * 30);
         let pi = 4.0 * hits as f64 / samples as f64;
-        Ok(Response::new(
-            format!("{{\"pi\":{pi:.6},\"samples\":{samples}}}"),
-            format!("estimated pi = {pi:.6}"),
-        ))
+        // The body's length is the response size: the platform charges it
+        // as egress and adds its transfer to the client time.
+        Ok(Response::new(format!(
+            "{{\"pi\":{pi:.6},\"samples\":{samples}}}"
+        )))
     }
 }
 
