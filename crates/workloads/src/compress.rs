@@ -84,9 +84,16 @@ pub fn decompress(archive: &[u8]) -> Option<Vec<u8>> {
     if archive.len() < 8 {
         return None;
     }
-    let out_len = u64::from_le_bytes(archive[..8].try_into().ok()?) as usize;
+    let out_len = usize::try_from(u64::from_le_bytes(archive[..8].try_into().ok()?)).ok()?;
     let (code, table_len) = HuffmanCode::read_table(&archive[8..])?;
-    let mut bits = BitReader::new(&archive[8 + table_len..]);
+    let body = &archive[8 + table_len..];
+    // Every symbol takes at least one bit and yields at most MAX_MATCH
+    // bytes, so a longer claimed length cannot be decoded (and must not be
+    // reserved).
+    if out_len > body.len().saturating_mul(8 * MAX_MATCH) {
+        return None;
+    }
+    let mut bits = BitReader::new(body);
     let mut out = Vec::with_capacity(out_len);
     while out.len() < out_len {
         let sym = code.read_symbol(&mut bits)?;
@@ -127,11 +134,8 @@ fn lz77_tokenize(input: &[u8], work: &mut u64) -> Vec<Token> {
             let mut best_dist = 0usize;
             let mut chain = 0;
             while candidate != usize::MAX && i - candidate <= WINDOW && chain < 32 {
-                let mut len = 0;
                 let max = (input.len() - i).min(MAX_MATCH);
-                while len < max && input[candidate + len] == input[i + len] {
-                    len += 1;
-                }
+                let len = common_prefix(&input[candidate..candidate + max], &input[i..i + max]);
                 *work += len as u64 + 1;
                 if len > best_len {
                     best_len = len;
@@ -166,6 +170,26 @@ fn lz77_tokenize(input: &[u8], work: &mut u64) -> Vec<Token> {
         i += 1;
     }
     tokens
+}
+
+/// Length of the common prefix of two equally long slices: eight bytes at
+/// a time, where the lowest set bit of the XOR of two little-endian words
+/// falls in the first differing byte, then byte by byte.
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    let (words_a, _) = a.as_chunks::<8>();
+    let (words_b, _) = b.as_chunks::<8>();
+    for (k, (x, y)) in words_a.iter().zip(words_b).enumerate() {
+        let diff = u64::from_le_bytes(*x) ^ u64::from_le_bytes(*y);
+        if diff != 0 {
+            return k * 8 + (diff.trailing_zeros() / 8) as usize;
+        }
+    }
+    let done = words_a.len() * 8;
+    done + a[done..]
+        .iter()
+        .zip(&b[done..])
+        .take_while(|(x, y)| x == y)
+        .count()
 }
 
 /// Canonical Huffman code over a dense `u16` alphabet.
@@ -723,6 +747,13 @@ mod tests {
     }
 
     #[test]
+    fn huge_length_header_is_rejected() {
+        let (mut packed, _) = compress(b"hello hello hello hello");
+        packed[..8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert_eq!(decompress(&packed), None);
+    }
+
+    #[test]
     fn long_matches_and_max_length() {
         let data = vec![b'x'; 3 * MAX_MATCH + 7];
         let (packed, _) = compress(&data);
@@ -786,6 +817,116 @@ mod tests {
         assert!(text.contains("== src/file-000.tex"));
         assert!(text.contains("== src/file-007.tex"));
         assert!(text.contains("\\documentclass"));
+    }
+
+    /// The tokenizer before the word-at-a-time match search: each
+    /// candidate is measured one byte at a time.
+    fn lz77_tokenize_bytewise(input: &[u8], work: &mut u64) -> Vec<Token> {
+        const HASH_BITS: u32 = 15;
+        let mut head = vec![usize::MAX; 1 << HASH_BITS];
+        let mut prev = vec![usize::MAX; input.len()];
+        let hash = |window: &[u8]| -> usize {
+            let v = u32::from_le_bytes([window[0], window[1], window[2], window[3]]);
+            (v.wrapping_mul(2654435761) >> (32 - HASH_BITS)) as usize
+        };
+        let mut tokens = Vec::new();
+        let mut i = 0;
+        while i < input.len() {
+            if i + MIN_MATCH <= input.len() {
+                let h = hash(&input[i..]);
+                let mut candidate = head[h];
+                let mut best_len = 0usize;
+                let mut best_dist = 0usize;
+                let mut chain = 0;
+                while candidate != usize::MAX && i - candidate <= WINDOW && chain < 32 {
+                    let mut len = 0;
+                    let max = (input.len() - i).min(MAX_MATCH);
+                    while len < max && input[candidate + len] == input[i + len] {
+                        len += 1;
+                    }
+                    *work += len as u64 + 1;
+                    if len > best_len {
+                        best_len = len;
+                        best_dist = i - candidate;
+                    }
+                    candidate = prev[candidate];
+                    chain += 1;
+                }
+                prev[i] = head[h];
+                head[h] = i;
+                if best_len >= MIN_MATCH {
+                    tokens.push(Token::Match {
+                        distance: best_dist as u16,
+                        length: best_len as u16,
+                    });
+                    let end = i + best_len;
+                    let mut j = i + 1;
+                    while j < end && j + MIN_MATCH <= input.len() {
+                        let hj = hash(&input[j..]);
+                        prev[j] = head[hj];
+                        head[hj] = j;
+                        j += 1;
+                    }
+                    i = end;
+                    continue;
+                }
+            }
+            tokens.push(Token::Literal(input[i]));
+            *work += 1;
+            i += 1;
+        }
+        tokens
+    }
+
+    #[test]
+    fn lz77_matches_the_bytewise_search() {
+        let mut inputs: Vec<Vec<u8>> =
+            vec![Vec::new(), vec![7], vec![0; 5], vec![0; 2 * MAX_MATCH + 9]];
+        for case in 0..24u64 {
+            let mut rng = SimRng::new(0x177).child(case).stream("inputs");
+            let len = rng.gen_range(0usize..6000);
+            // Random bytes, and text over a small alphabet.
+            inputs.push((0..len).map(|_| rng.gen()).collect());
+            inputs.push(
+                (0..len)
+                    .map(|_| b"ab c"[rng.gen_range(0..4usize)])
+                    .collect(),
+            );
+            // Constant runs and periodic data, of every period up to 24.
+            inputs.push(vec![rng.gen(); len]);
+            let period: Vec<u8> = (0..=case).map(|_| rng.gen()).collect();
+            inputs.push(period.iter().copied().cycle().take(len).collect());
+            // Matches cut short by the end of the input: a repeated block
+            // with a tail of 1..16 bytes past the last full copy.
+            let block: Vec<u8> = (0..rng.gen_range(4usize..40)).map(|_| rng.gen()).collect();
+            let mut near_end = block.repeat(3);
+            near_end.extend_from_slice(&block[..(case as usize % 16 + 1).min(block.len())]);
+            inputs.push(near_end);
+        }
+        // The benchmark's own input shape.
+        let mut rng = SimRng::new(0x177).stream("text");
+        inputs.push(Compression::synth_text(&mut rng, 40_000));
+        for (n, input) in inputs.iter().enumerate() {
+            let (mut fast_work, mut slow_work) = (0u64, 0u64);
+            let fast = lz77_tokenize(input, &mut fast_work);
+            let slow = lz77_tokenize_bytewise(input, &mut slow_work);
+            assert_eq!(fast, slow, "input {n} ({} bytes)", input.len());
+            assert_eq!(fast_work, slow_work, "input {n} ({} bytes)", input.len());
+        }
+    }
+
+    #[test]
+    fn common_prefix_counts_equal_leading_bytes() {
+        let a: Vec<u8> = (0..40).collect();
+        for len in 0..=a.len() {
+            for cut in 0..=len {
+                let mut b = a[..len].to_vec();
+                if cut < len {
+                    b[cut] ^= 0x80;
+                }
+                assert_eq!(common_prefix(&a[..len], &b), cut, "len {len}, cut {cut}");
+            }
+        }
     }
 
     #[test]

@@ -171,9 +171,9 @@ pub fn deserialize_graph(data: &[u8]) -> Option<EdgeList> {
         return None;
     }
     let n = u32::from_le_bytes(data[4..8].try_into().ok()?);
-    let m = u64::from_le_bytes(data[8..16].try_into().ok()?) as usize;
+    let m = usize::try_from(u64::from_le_bytes(data[8..16].try_into().ok()?)).ok()?;
     let body = &data[16..];
-    if body.len() != m * 12 {
+    if m.checked_mul(12) != Some(body.len()) {
         return None;
     }
     let mut edges = Vec::with_capacity(m);
@@ -284,11 +284,7 @@ impl Workload for GraphBfs {
                 "source {source} out of range for {n} vertices"
             )));
         }
-        let g = CsrGraph::from_edges(
-            n,
-            &edges.iter().map(|&(a, b, _)| (a, b)).collect::<Vec<_>>(),
-            true,
-        );
+        let g = CsrGraph::from_edges(n, &edges, true);
         ctx.alloc(g.byte_len() as u64);
         ctx.work(edges.len() as u64 * 8); // CSR construction
 
@@ -341,11 +337,7 @@ mod tests {
     fn direction_optimizing_matches_oracle() {
         let mut rng = SimRng::new(11).stream("g");
         let (n, edges) = rmat_edges(9, 8, &mut rng);
-        let g = CsrGraph::from_edges(
-            n,
-            &edges.iter().map(|&(a, b, _)| (a, b)).collect::<Vec<_>>(),
-            true,
-        );
+        let g = CsrGraph::from_edges(n, &edges, true);
         let (oracle, _) = bfs_distances(&g, 0);
         let stats = bfs_direction_optimizing(&g, 0, 14, 24);
         assert_eq!(stats.dist, oracle);
@@ -357,11 +349,7 @@ mod tests {
         // optimization must take at least one bottom-up step.
         let mut rng = SimRng::new(12).stream("g");
         let (n, edges) = rmat_edges(10, 32, &mut rng);
-        let g = CsrGraph::from_edges(
-            n,
-            &edges.iter().map(|&(a, b, _)| (a, b)).collect::<Vec<_>>(),
-            true,
-        );
+        let g = CsrGraph::from_edges(n, &edges, true);
         let stats = bfs_direction_optimizing(&g, 0, 14, 24);
         assert!(stats.bottom_up_steps >= 1, "stats: {stats:?}");
         // And it should inspect fewer edges than pure top-down on skewed
@@ -409,6 +397,16 @@ mod tests {
         // Endpoint validation.
         let bad = serialize_graph(1, &[(0, 5, 1)]);
         assert!(deserialize_graph(&bad).is_none());
+    }
+
+    #[test]
+    fn edge_count_that_wraps_is_rejected() {
+        // 12 × (u64::MAX / 12 + 2) wraps to 20, the body length here.
+        let mut data = b"SGRF".to_vec();
+        data.extend_from_slice(&4u32.to_le_bytes());
+        data.extend_from_slice(&(u64::MAX / 12 + 2).to_le_bytes());
+        data.extend_from_slice(&[0; 20]);
+        assert_eq!(deserialize_graph(&data), None);
     }
 
     #[test]

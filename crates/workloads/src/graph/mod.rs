@@ -30,8 +30,38 @@ pub struct CsrGraph {
     weights: Option<Vec<u32>>,
 }
 
+/// An edge record the CSR builders read: a `(src, dst)` pair, or a
+/// `(src, dst, weight)` triple whose weight an unweighted graph ignores.
+pub trait Edge: Copy {
+    /// The edge's `(src, dst)` endpoints.
+    fn ends(self) -> (u32, u32);
+    /// The edge's weight (1 for a pair).
+    fn weight(self) -> u32;
+}
+
+impl Edge for (u32, u32) {
+    fn ends(self) -> (u32, u32) {
+        self
+    }
+
+    fn weight(self) -> u32 {
+        1
+    }
+}
+
+impl Edge for (u32, u32, u32) {
+    fn ends(self) -> (u32, u32) {
+        (self.0, self.1)
+    }
+
+    fn weight(self) -> u32 {
+        self.2
+    }
+}
+
 impl CsrGraph {
-    /// Builds a CSR graph from an edge list over `n` vertices.
+    /// Builds an unweighted CSR graph from an edge list over `n` vertices:
+    /// `(src, dst)` pairs, or weighted triples whose weights it drops.
     ///
     /// Self-loops are kept; parallel edges are kept (multigraph semantics,
     /// like Graph500). If `undirected`, each edge is inserted both ways.
@@ -39,13 +69,8 @@ impl CsrGraph {
     /// # Panics
     ///
     /// Panics if an endpoint is `>= n`.
-    pub fn from_edges(n: u32, edges: &[(u32, u32)], undirected: bool) -> CsrGraph {
-        Self::from_weighted_edges(
-            n,
-            &edges.iter().map(|&(a, b)| (a, b, 1)).collect::<Vec<_>>(),
-            undirected,
-        )
-        .strip_weights()
+    pub fn from_edges<E: Edge>(n: u32, edges: &[E], undirected: bool) -> CsrGraph {
+        Self::build(n, edges, undirected, false)
     }
 
     /// Builds a weighted CSR graph from `(src, dst, weight)` triples.
@@ -54,43 +79,48 @@ impl CsrGraph {
     ///
     /// Panics if an endpoint is `>= n`.
     pub fn from_weighted_edges(n: u32, edges: &[(u32, u32, u32)], undirected: bool) -> CsrGraph {
-        let mut degree = vec![0u64; n as usize + 1];
-        for &(a, b, _) in edges {
+        Self::build(n, edges, undirected, true)
+    }
+
+    /// Lays `edges` out in CSR form, keeping each arc's weight when
+    /// `weighted`.
+    fn build<E: Edge>(n: u32, edges: &[E], undirected: bool, weighted: bool) -> CsrGraph {
+        let mut offsets = vec![0u64; n as usize + 1];
+        for &e in edges {
+            let (a, b) = e.ends();
             assert!(a < n && b < n, "edge endpoint out of range");
-            degree[a as usize + 1] += 1;
+            offsets[a as usize + 1] += 1;
             if undirected {
-                degree[b as usize + 1] += 1;
+                offsets[b as usize + 1] += 1;
             }
         }
-        for i in 1..degree.len() {
-            degree[i] += degree[i - 1];
+        for i in 1..offsets.len() {
+            offsets[i] += offsets[i - 1];
         }
-        let m = degree[n as usize] as usize;
+        let m = offsets[n as usize] as usize;
         let mut targets = vec![0u32; m];
-        let mut weights = vec![0u32; m];
-        let mut cursor = degree.clone();
-        for &(a, b, w) in edges {
-            let slot = cursor[a as usize] as usize;
-            targets[slot] = b;
-            weights[slot] = w;
-            cursor[a as usize] += 1;
-            if undirected {
-                let slot = cursor[b as usize] as usize;
-                targets[slot] = a;
+        let mut weights = vec![0u32; if weighted { m } else { 0 }];
+        let mut cursor = offsets.clone();
+        let mut place = |from: u32, to: u32, w: u32| {
+            let slot = cursor[from as usize] as usize;
+            targets[slot] = to;
+            if weighted {
                 weights[slot] = w;
-                cursor[b as usize] += 1;
+            }
+            cursor[from as usize] += 1;
+        };
+        for &e in edges {
+            let (a, b) = e.ends();
+            place(a, b, e.weight());
+            if undirected {
+                place(b, a, e.weight());
             }
         }
         CsrGraph {
-            offsets: degree,
+            offsets,
             targets,
-            weights: Some(weights),
+            weights: weighted.then_some(weights),
         }
-    }
-
-    fn strip_weights(mut self) -> CsrGraph {
-        self.weights = None;
-        self
     }
 
     /// Number of vertices.
@@ -179,17 +209,12 @@ pub fn rmat_edges(
         let (mut src, mut dst) = (0u32, 0u32);
         for bit in (0..scale).rev() {
             let r: f64 = rng.gen();
-            let (sbit, dbit) = if r < a {
-                (0, 0)
-            } else if r < a + b {
-                (0, 1)
-            } else if r < a + b + c {
-                (1, 0)
-            } else {
-                (1, 1)
-            };
-            src |= sbit << bit;
-            dst |= dbit << bit;
+            // The quadrant is the number of cumulative thresholds `r` has
+            // passed: 0 below A, 1 below A+B, 2 below A+B+C, else 3. Its
+            // high bit picks the source half, its low bit the target half.
+            let quadrant = u32::from(r >= a) + u32::from(r >= a + b) + u32::from(r >= a + b + c);
+            src |= (quadrant >> 1) << bit;
+            dst |= (quadrant & 1) << bit;
         }
         let w = rng.gen_range(1..=255u32);
         edges.push((src, dst, w));
@@ -292,6 +317,122 @@ mod tests {
             max_deg as f64 > 6.0 * avg,
             "hub degree {max_deg} should dwarf avg {avg}"
         );
+    }
+
+    /// The R-MAT generator before the branchless quadrant pick.
+    fn rmat_edges_branching(
+        scale: u32,
+        edge_factor: u32,
+        rng: &mut StreamRng,
+    ) -> (u32, Vec<(u32, u32, u32)>) {
+        let n = 1u32 << scale;
+        let m = (n as u64 * edge_factor as u64) as usize;
+        let (a, b, c) = (0.57, 0.19, 0.19);
+        let mut edges = Vec::with_capacity(m);
+        for _ in 0..m {
+            let (mut src, mut dst) = (0u32, 0u32);
+            for bit in (0..scale).rev() {
+                let r: f64 = rng.gen();
+                let (sbit, dbit) = if r < a {
+                    (0, 0)
+                } else if r < a + b {
+                    (0, 1)
+                } else if r < a + b + c {
+                    (1, 0)
+                } else {
+                    (1, 1)
+                };
+                src |= sbit << bit;
+                dst |= dbit << bit;
+            }
+            let w = rng.gen_range(1..=255u32);
+            edges.push((src, dst, w));
+        }
+        (n, edges)
+    }
+
+    /// The weighted CSR builder before the shared one.
+    fn csr_weighted_before(n: u32, edges: &[(u32, u32, u32)], undirected: bool) -> CsrGraph {
+        let mut degree = vec![0u64; n as usize + 1];
+        for &(a, b, _) in edges {
+            assert!(a < n && b < n, "edge endpoint out of range");
+            degree[a as usize + 1] += 1;
+            if undirected {
+                degree[b as usize + 1] += 1;
+            }
+        }
+        for i in 1..degree.len() {
+            degree[i] += degree[i - 1];
+        }
+        let m = degree[n as usize] as usize;
+        let mut targets = vec![0u32; m];
+        let mut weights = vec![0u32; m];
+        let mut cursor = degree.clone();
+        for &(a, b, w) in edges {
+            let slot = cursor[a as usize] as usize;
+            targets[slot] = b;
+            weights[slot] = w;
+            cursor[a as usize] += 1;
+            if undirected {
+                let slot = cursor[b as usize] as usize;
+                targets[slot] = a;
+                weights[slot] = w;
+                cursor[b as usize] += 1;
+            }
+        }
+        CsrGraph {
+            offsets: degree,
+            targets,
+            weights: Some(weights),
+        }
+    }
+
+    #[test]
+    fn rmat_matches_the_branching_generator() {
+        for scale in 1..=12u32 {
+            for edge_factor in [1u32, 3, 16] {
+                let label = format!("rmat/{scale}/{edge_factor}");
+                let mut fast = SimRng::new(0x4A7).stream(&label);
+                let mut slow = fast.clone();
+                let got = rmat_edges(scale, edge_factor, &mut fast);
+                let want = rmat_edges_branching(scale, edge_factor, &mut slow);
+                assert_eq!(got, want, "scale {scale}, edge factor {edge_factor}");
+                assert_eq!(fast, slow, "RNG end state, scale {scale}");
+            }
+        }
+    }
+
+    #[test]
+    fn csr_matches_the_builders_it_replaces() {
+        for case in 0..48u64 {
+            let mut rng = SimRng::new(0xC5A).child(case).stream("inputs");
+            let (n, edges) = rmat_edges(rng.gen_range(1u32..10), rng.gen_range(1u32..6), &mut rng);
+            let pairs: Vec<(u32, u32)> = edges.iter().map(|&(a, b, _)| (a, b)).collect();
+            let ones: Vec<(u32, u32, u32)> = pairs.iter().map(|&(a, b)| (a, b, 1)).collect();
+            for undirected in [false, true] {
+                // An unweighted graph used to be the weighted layout of
+                // weight-1 edges with the weights dropped.
+                let unweighted = CsrGraph {
+                    weights: None,
+                    ..csr_weighted_before(n, &ones, undirected)
+                };
+                assert_eq!(
+                    CsrGraph::from_edges(n, &pairs, undirected),
+                    unweighted,
+                    "case {case}"
+                );
+                assert_eq!(
+                    CsrGraph::from_edges(n, &edges, undirected),
+                    unweighted,
+                    "case {case}"
+                );
+                assert_eq!(
+                    CsrGraph::from_weighted_edges(n, &edges, undirected),
+                    csr_weighted_before(n, &edges, undirected),
+                    "case {case}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -147,11 +147,7 @@ impl Workload for GraphPagerank {
             .map_err(|e| WorkloadError::BadPayload(format!("bad iterations: {e}")))?;
 
         let (n, edges) = generate_input(payload, ctx)?;
-        let g = CsrGraph::from_edges(
-            n,
-            &edges.iter().map(|&(a, b, _)| (a, b)).collect::<Vec<_>>(),
-            false,
-        );
+        let g = CsrGraph::from_edges(n, &edges, false);
         ctx.alloc(g.byte_len() as u64 + 16 * n as u64);
         ctx.work(edges.len() as u64 * 8);
 

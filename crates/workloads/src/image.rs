@@ -106,29 +106,20 @@ impl RasterImage {
     pub fn resize_bilinear(&self, new_w: u32, new_h: u32) -> (RasterImage, u64) {
         assert!(new_w > 0 && new_h > 0, "target dimensions must be positive");
         let mut out = RasterImage::new(new_w, new_h);
-        let sx = self.width as f32 / new_w as f32;
-        let sy = self.height as f32 / new_h as f32;
-        for y in 0..new_h {
-            for x in 0..new_w {
-                let fx = ((x as f32 + 0.5) * sx - 0.5).max(0.0);
-                let fy = ((y as f32 + 0.5) * sy - 0.5).max(0.0);
-                let x0 = fx.floor() as u32;
-                let y0 = fy.floor() as u32;
-                let x1 = (x0 + 1).min(self.width - 1);
-                let y1 = (y0 + 1).min(self.height - 1);
-                let tx = fx - x0 as f32;
-                let ty = fy - y0 as f32;
-                let mut rgb = [0u8; 3];
-                for (c, out) in rgb.iter_mut().enumerate() {
-                    let p00 = self.get(x0, y0)[c] as f32;
-                    let p10 = self.get(x1, y0)[c] as f32;
-                    let p01 = self.get(x0, y1)[c] as f32;
-                    let p11 = self.get(x1, y1)[c] as f32;
-                    let top = p00 * (1.0 - tx) + p10 * tx;
-                    let bot = p01 * (1.0 - tx) + p11 * tx;
-                    *out = (top * (1.0 - ty) + bot * ty).round().clamp(0.0, 255.0) as u8;
+        let stride = self.width as usize * 3;
+        let cols = taps(self.width, new_w, 3);
+        let rows = taps(self.height, new_h, stride);
+        for (out_row, ty) in out.pixels.chunks_exact_mut(new_w as usize * 3).zip(&rows) {
+            let top_row = &self.pixels[ty.lo..ty.lo + stride];
+            let bot_row = &self.pixels[ty.hi..ty.hi + stride];
+            for (rgb, tx) in out_row.chunks_exact_mut(3).zip(&cols) {
+                let (p00, p10) = (&top_row[tx.lo..tx.lo + 3], &top_row[tx.hi..tx.hi + 3]);
+                let (p01, p11) = (&bot_row[tx.lo..tx.lo + 3], &bot_row[tx.hi..tx.hi + 3]);
+                for c in 0..3 {
+                    let top = p00[c] as f32 * tx.keep + p10[c] as f32 * tx.frac;
+                    let bot = p01[c] as f32 * tx.keep + p11[c] as f32 * tx.frac;
+                    rgb[c] = round_channel(top * ty.keep + bot * ty.frac);
                 }
-                out.set(x, y, rgb);
             }
         }
         let work = 4 * 3 * new_w as u64 * new_h as u64;
@@ -172,7 +163,10 @@ impl RasterImage {
             return None;
         }
         let pixels = &rest[nl + 1..];
-        if width == 0 || height == 0 || pixels.len() != (width * height * 3) as usize {
+        let len = (width as usize)
+            .checked_mul(height as usize)?
+            .checked_mul(3)?;
+        if width == 0 || height == 0 || pixels.len() != len {
             return None;
         }
         Some(RasterImage {
@@ -197,6 +191,51 @@ impl RasterImage {
             .sum();
         Some(total as f64 / self.pixels.len() as f64)
     }
+}
+
+/// One output coordinate's bilinear tap along an axis: the buffer offsets
+/// of the two source samples it blends, and their weights.
+#[derive(Debug)]
+struct Tap {
+    lo: usize,
+    hi: usize,
+    /// Weight of `hi`: the coordinate's distance past `lo`.
+    frac: f32,
+    /// Weight of `lo`: `1.0 - frac`.
+    keep: f32,
+}
+
+/// The taps of each of `dst` output coordinates resampled from `src`
+/// source samples that lie `unit` bytes apart, centre-aligned and clamped
+/// to the edge.
+fn taps(src: u32, dst: u32, unit: usize) -> Vec<Tap> {
+    let scale = src as f32 / dst as f32;
+    (0..dst)
+        .map(|i| {
+            let f = ((i as f32 + 0.5) * scale - 0.5).max(0.0);
+            let lo = f.floor() as u32;
+            let hi = (lo + 1).min(src - 1);
+            let frac = f - lo as f32;
+            Tap {
+                lo: lo as usize * unit,
+                hi: hi as usize * unit,
+                frac,
+                keep: 1.0 - frac,
+            }
+        })
+        .collect()
+}
+
+/// `v.round().clamp(0.0, 255.0) as u8` for every `f32`, without the
+/// out-of-line `roundf` call. For `0 ≤ v < 2³²` the truncating cast is
+/// exact and so is `v - whole`, so adding one at a fraction of one half
+/// or more rounds half away from zero, as `f32::round` does. Negative
+/// values and NaN truncate to 0, and large values saturate, as the clamp
+/// would leave them.
+fn round_channel(v: f32) -> u8 {
+    let whole = v as u32;
+    let rounded = whole.saturating_add(u32::from(v - whole as f32 >= 0.5));
+    rounded.min(255) as u8
 }
 
 /// Quantizes an RGB pixel to the 6×7×6 color cube (252 palette entries) —
@@ -249,18 +288,24 @@ pub fn decode_lossy_thumbnail(data: &[u8]) -> Option<(u32, u32, Vec<u8>)> {
     }
     let w = u32::from_le_bytes(data[4..8].try_into().ok()?);
     let h = u32::from_le_bytes(data[8..12].try_into().ok()?);
-    let mut pixels = Vec::with_capacity((w * h) as usize);
-    let mut rest = &data[12..];
-    while rest.len() >= 3 {
-        let idx = rest[0];
-        let n = u16::from_le_bytes([rest[1], rest[2]]) as usize;
-        pixels.extend(std::iter::repeat_n(idx, n));
-        rest = &rest[3..];
-    }
-    if !rest.is_empty() || pixels.len() != (w * h) as usize {
+    let total = (w as usize).checked_mul(h as usize)?;
+    let (runs, rest) = data[12..].as_chunks::<3>();
+    // A run covers at most u16::MAX pixels: a header claiming more than the
+    // runs can cover is malformed, and is never reserved.
+    if !rest.is_empty() || total > runs.len().saturating_mul(usize::from(u16::MAX)) {
         return None;
     }
-    Some((w, h, pixels))
+    let mut pixels = Vec::with_capacity(total);
+    for &[idx, lo, hi] in runs {
+        pixels.extend(std::iter::repeat_n(
+            idx,
+            usize::from(u16::from_le_bytes([lo, hi])),
+        ));
+        if pixels.len() > total {
+            return None;
+        }
+    }
+    (pixels.len() == total).then_some((w, h, pixels))
 }
 
 /// Bucket holding thumbnailer inputs and outputs.
@@ -480,6 +525,26 @@ mod tests {
     }
 
     #[test]
+    fn ppm_header_whose_size_wraps_is_rejected() {
+        // 65536 × 65536 × 3 wraps a u32 to 0, the pixel bytes given here.
+        assert_eq!(RasterImage::decode_ppm(b"P6\n65536 65536\n255\n"), None);
+    }
+
+    #[test]
+    fn lossy_header_larger_than_its_runs_is_rejected() {
+        let mut data = b"STMB".to_vec();
+        data.extend_from_slice(&65536u32.to_le_bytes());
+        data.extend_from_slice(&65536u32.to_le_bytes());
+        assert_eq!(decode_lossy_thumbnail(&data), None);
+        // Runs that overshoot the header's pixel count.
+        let mut data = b"STMB".to_vec();
+        data.extend_from_slice(&2u32.to_le_bytes());
+        data.extend_from_slice(&1u32.to_le_bytes());
+        data.extend_from_slice(&[9, 3, 0]);
+        assert_eq!(decode_lossy_thumbnail(&data), None);
+    }
+
+    #[test]
     fn mean_abs_diff_dimension_mismatch() {
         let a = RasterImage::new(2, 2);
         let b = RasterImage::new(3, 2);
@@ -531,6 +596,72 @@ mod tests {
             wl.execute(&payload, &mut ctx),
             Err(WorkloadError::Storage(_))
         ));
+    }
+
+    /// The resampler before the hoisted taps: per output pixel, both
+    /// coordinates, twelve `get` calls and three `f32::round` calls.
+    fn resize_by_pixel(img: &RasterImage, new_w: u32, new_h: u32) -> RasterImage {
+        let mut out = RasterImage::new(new_w, new_h);
+        let sx = img.width as f32 / new_w as f32;
+        let sy = img.height as f32 / new_h as f32;
+        for y in 0..new_h {
+            for x in 0..new_w {
+                let fx = ((x as f32 + 0.5) * sx - 0.5).max(0.0);
+                let fy = ((y as f32 + 0.5) * sy - 0.5).max(0.0);
+                let x0 = fx.floor() as u32;
+                let y0 = fy.floor() as u32;
+                let x1 = (x0 + 1).min(img.width - 1);
+                let y1 = (y0 + 1).min(img.height - 1);
+                let tx = fx - x0 as f32;
+                let ty = fy - y0 as f32;
+                let mut rgb = [0u8; 3];
+                for (c, out) in rgb.iter_mut().enumerate() {
+                    let p00 = img.get(x0, y0)[c] as f32;
+                    let p10 = img.get(x1, y0)[c] as f32;
+                    let p01 = img.get(x0, y1)[c] as f32;
+                    let p11 = img.get(x1, y1)[c] as f32;
+                    let top = p00 * (1.0 - tx) + p10 * tx;
+                    let bot = p01 * (1.0 - tx) + p11 * tx;
+                    *out = (top * (1.0 - ty) + bot * ty).round().clamp(0.0, 255.0) as u8;
+                }
+                out.set(x, y, rgb);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn resize_matches_the_per_pixel_resampler() {
+        let mut sizes = vec![
+            (256, 192, 200, 150),
+            (640, 360, 200, 113),
+            (1, 1, 1, 1),
+            (1, 7, 5, 1),
+            (3, 2, 9, 8),
+        ];
+        for case in 0..48u64 {
+            let mut rng = SimRng::new(0xB11).child(case).stream("sizes");
+            let mut side = || rng.gen_range(1u32..160);
+            sizes.push((side(), side(), side(), side()));
+        }
+        for (n, &(w, h, nw, nh)) in sizes.iter().enumerate() {
+            // Random pixels, so every channel blends unrelated values.
+            let mut rng = SimRng::new(0xB11).child(n as u64).stream("pixels");
+            let img = RasterImage {
+                width: w,
+                height: h,
+                pixels: (0..w * h * 3).map(|_| rng.gen()).collect(),
+            };
+            let (fast, work) = img.resize_bilinear(nw, nh);
+            assert_eq!(fast, resize_by_pixel(&img, nw, nh), "{w}x{h} -> {nw}x{nh}");
+            assert_eq!(work, 12 * nw as u64 * nh as u64);
+            let smooth = RasterImage::synthetic(w, h);
+            assert_eq!(
+                smooth.resize_bilinear(nw, nh).0,
+                resize_by_pixel(&smooth, nw, nh),
+                "synthetic {w}x{h} -> {nw}x{nh}"
+            );
+        }
     }
 
     #[test]

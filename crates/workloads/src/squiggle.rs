@@ -108,7 +108,8 @@ pub fn downsample(points: &[Point], max_points: usize) -> Vec<Point> {
     out
 }
 
-/// Serializes a polyline as a compact JSON array of `[x, y]` pairs.
+/// Serializes a polyline as a compact JSON array of `[x, y]` pairs, each
+/// coordinate written as `format!("{:.1}")` would.
 pub fn to_json(points: &[Point]) -> String {
     let mut s = String::with_capacity(points.len() * 16 + 2);
     s.push('[');
@@ -116,10 +117,53 @@ pub fn to_json(points: &[Point]) -> String {
         if i > 0 {
             s.push(',');
         }
-        s.push_str(&format!("[{:.1},{:.1}]", p.x, p.y));
+        s.push('[');
+        push_coord(&mut s, p.x);
+        s.push(',');
+        push_coord(&mut s, p.y);
+        s.push(']');
     }
     s.push(']');
     s
+}
+
+/// 2⁵²: below it, twice a multiple of 0.5 is an integer an `f64` holds
+/// exactly, so the conversions in [`push_coord`] lose nothing.
+const HALF_STEP_LIMIT: f64 = 4_503_599_627_370_496.0;
+
+/// Appends `v` as `{:.1}` formats it. A multiple of 0.5 below 2⁵² in
+/// magnitude, which every squiggle coordinate is, needs no rounding: its
+/// text is the integer part, then `.0` or `.5`. Any other value, including
+/// NaN and the infinities, goes through the formatter.
+fn push_coord(s: &mut String, v: f64) {
+    let twice = v.abs() * 2.0;
+    let halves = twice as u64;
+    if v.abs() < HALF_STEP_LIMIT && halves as f64 == twice {
+        if v.is_sign_negative() {
+            s.push('-');
+        }
+        push_decimal(s, halves >> 1);
+        s.push_str(if halves & 1 == 0 { ".0" } else { ".5" });
+    } else {
+        use std::fmt::Write;
+        // Writing into a `String` cannot fail.
+        let _ = write!(s, "{v:.1}");
+    }
+}
+
+/// Appends the decimal digits of `n`.
+fn push_decimal(s: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    s.extend(digits[start..].iter().map(|&d| char::from(d)));
 }
 
 /// Bucket for data-vis inputs and cached outputs.
@@ -308,6 +352,81 @@ mod tests {
         let json = to_json(&[Point { x: 0.0, y: 0.0 }, Point { x: 0.5, y: 1.0 }]);
         assert_eq!(json, "[[0.0,0.0],[0.5,1.0]]");
         assert_eq!(to_json(&[]), "[]");
+    }
+
+    /// The serializer before the digit writer: one `format!` per point.
+    fn to_json_formatted(points: &[Point]) -> String {
+        let mut s = String::with_capacity(points.len() * 16 + 2);
+        s.push('[');
+        for (i, p) in points.iter().enumerate() {
+            if i > 0 {
+                s.push(',');
+            }
+            s.push_str(&format!("[{:.1},{:.1}]", p.x, p.y));
+        }
+        s.push(']');
+        s
+    }
+
+    #[test]
+    fn to_json_matches_the_formatter() {
+        let mut values = vec![
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            2.5,
+            -2.5,
+            0.25,
+            0.05,
+            0.45,
+            0.95,
+            -0.04,
+            1e300,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            f64::MAX,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            HALF_STEP_LIMIT,
+            -HALF_STEP_LIMIT,
+            HALF_STEP_LIMIT - 0.5,
+            -(HALF_STEP_LIMIT - 0.5),
+            HALF_STEP_LIMIT * 2.0 + 2.0,
+        ];
+        let mut rng = SimRng::new(0x7050).stream("coords");
+        for _ in 0..20_000 {
+            let sign = if rng.gen_bool(0.5) { -1.0 } else { 1.0 };
+            // Half-steps anywhere up to ±2⁵², and in the squiggle range.
+            values.push(sign * rng.gen_range(0..1u64 << 53) as f64 / 2.0);
+            values.push(rng.gen_range(-40_000i64..40_000) as f64 / 2.0);
+            // Arbitrary values, for the fallback.
+            values.push(f64::from_bits(rng.gen()));
+            values.push(rng.gen_range(-1e6..1e6));
+        }
+        for &v in &values {
+            let mut s = String::new();
+            push_coord(&mut s, v);
+            assert_eq!(
+                s,
+                format!("{v:.1}"),
+                "value {v:e} (bits {:#x})",
+                v.to_bits()
+            );
+        }
+        let points: Vec<Point> = values
+            .chunks(2)
+            .map(|c| Point { x: c[0], y: c[1] })
+            .collect();
+        assert_eq!(to_json(&points), to_json_formatted(&points));
+        // A real plot, as the benchmark builds it.
+        let seq: Vec<u8> = (0..30_000)
+            .map(|_| b"ACGTN"[rng.gen_range(0..5usize)])
+            .collect();
+        let plot = downsample(&squiggle(&seq), 4000);
+        assert_eq!(to_json(&plot), to_json_formatted(&plot));
     }
 
     #[test]

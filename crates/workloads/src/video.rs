@@ -200,8 +200,9 @@ impl VideoProcessing {
         }
         let fps = u32::from_le_bytes(data[4..8].try_into().ok()?);
         let count = u32::from_le_bytes(data[8..12].try_into().ok()?) as usize;
-        let mut frames = Vec::with_capacity(count);
         let mut rest = &data[12..];
+        // A frame is at least a `P6\n` tag, so the input bounds the count.
+        let mut frames = Vec::with_capacity(count.min(rest.len() / 3));
         for _ in 0..count {
             // Each PPM is self-delimiting: its header tells the total size.
             let size = parse_ppm_header(rest)?;
@@ -232,7 +233,7 @@ fn parse_ppm_header(data: &[u8]) -> Option<usize> {
     let h: usize = parts.next()?.parse().ok()?;
     let nl2 = rest[nl + 1..].iter().position(|&b| b == b'\n')?;
     let header = 3 + nl + 1 + nl2 + 1;
-    Some(header + w * h * 3)
+    w.checked_mul(h)?.checked_mul(3)?.checked_add(header)
 }
 
 impl Workload for VideoProcessing {
@@ -416,6 +417,21 @@ mod tests {
         let clip = Clip::synthetic(8, 8, 2, 24);
         let mut data = VideoProcessing::serialize_clip(&clip);
         data.truncate(data.len() - 10);
+        assert!(VideoProcessing::deserialize_clip(&data).is_none());
+    }
+
+    #[test]
+    fn clip_headers_claiming_more_than_the_input_are_rejected() {
+        // u32::MAX frames in an empty body.
+        let mut data = b"CLIP".to_vec();
+        data.extend_from_slice(&24u32.to_le_bytes());
+        data.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(VideoProcessing::deserialize_clip(&data).is_none());
+        // One frame whose size overflows usize.
+        let mut data = b"CLIP".to_vec();
+        data.extend_from_slice(&24u32.to_le_bytes());
+        data.extend_from_slice(&1u32.to_le_bytes());
+        data.extend_from_slice(format!("P6\n{0} {0}\n255\n", usize::MAX / 2).as_bytes());
         assert!(VideoProcessing::deserialize_clip(&data).is_none());
     }
 
