@@ -172,7 +172,7 @@ pub struct ClusterPlatform {
     next_crash: usize,
     // `None` (the `RetryPolicy::none()` mapping) runs one plain attempt.
     retry: Option<RetryDriver>,
-    traces: TraceCollector,
+    traces: TraceCollector<InvocationTrace>,
     stats: ClusterStats,
 }
 
@@ -616,10 +616,15 @@ impl ClusterPlatform {
             }
             root.push_child(child);
         }
-        debug_assert!(root.validate().is_ok(), "cluster span tree must validate");
-        let (provider, memory) = (self.config.provider, meta.memory_mb);
-        self.traces
-            .keep(pending, provider, &meta.name, memory, root);
+        let trace = InvocationTrace {
+            provider: self.config.provider.to_string(),
+            benchmark: meta.name.clone(),
+            memory_mb: meta.memory_mb,
+            cell: None,
+            seq: pending.seq(),
+            root,
+        };
+        self.traces.keep(pending, trace);
     }
 }
 

@@ -8,7 +8,7 @@
 //! so the emitted bytes are identical for every `--jobs` value, which
 //! the CI determinism matrix byte-diffs.
 
-use std::collections::BTreeMap;
+use std::fmt::Write;
 
 use sebs_telemetry::SeriesKey;
 use sebs_trace::breakdown_table;
@@ -61,7 +61,14 @@ fn num(v: f64) -> String {
     if v.is_nan() {
         "-".to_string()
     } else if v == v.trunc() && v.abs() < 1e15 {
-        format!("{v:.0}")
+        // An integral value below 1e15 is exact as an `i64`, whose digits
+        // are those of `{v:.0}` and print faster; only a negative zero
+        // needs its sign kept.
+        if v == 0.0 && v.is_sign_negative() {
+            "-0".to_string()
+        } else {
+            (v as i64).to_string()
+        }
     } else {
         format!("{v:.3}")
     }
@@ -181,23 +188,23 @@ pub fn fleet_report(config: &SuiteConfig, fleet: &FleetConfig, result: &FleetRes
     }
 
     if !result.metrics.is_empty() {
-        // Counters summed across cells, in canonical key order.
-        let mut totals: BTreeMap<&SeriesKey, f64> = BTreeMap::new();
-        for chunk in result.metrics.chunks() {
-            for (key, value) in &chunk.counters {
-                *totals.entry(&**key).or_insert(0.0) += value;
-            }
-        }
-        let rows = totals
-            .into_iter()
-            .map(|(key, value)| {
-                let labels = key
-                    .labels
-                    .iter()
-                    .map(|(k, v)| format!("{k}={v}"))
-                    .collect::<Vec<_>>()
-                    .join(",");
-                vec![key.name.clone(), labels, num(value)]
+        // Counters summed across cells, in canonical key order. Every
+        // chunk lists its counters in key order, so a stable sort of the
+        // concatenation merges those runs and keeps equal keys in chunk
+        // order; each total is summed in that order from zero.
+        let mut counters: Vec<(&SeriesKey, f64)> = result
+            .metrics
+            .chunks()
+            .iter()
+            .flat_map(|chunk| chunk.counters.iter().map(|(key, value)| (&**key, *value)))
+            .collect();
+        counters.sort_by(|a, b| a.0.cmp(b.0));
+        let rows = counters
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|same_key| {
+                let key = same_key[0].0;
+                let total = same_key.iter().fold(0.0, |sum, (_, value)| sum + value);
+                vec![key.name.clone(), label_cell(key), num(total)]
             })
             .collect();
         sections.push(Section::Table(
@@ -266,32 +273,33 @@ impl Report {
 
     fn render_markdown(&self) -> String {
         let mut out = String::new();
-        out.push_str(&format!("# {}\n", self.title));
+        let _ = writeln!(out, "# {}", self.title);
         for section in &self.sections {
             out.push('\n');
             match section {
                 Section::Facts(title, facts) => {
-                    out.push_str(&format!("## {title}\n\n"));
+                    let _ = write!(out, "## {title}\n\n");
                     for (k, v) in facts {
-                        out.push_str(&format!("- **{k}**: {v}\n"));
+                        let _ = writeln!(out, "- **{k}**: {v}");
                     }
                 }
                 Section::Table(title, columns, rows) => {
-                    out.push_str(&format!("## {title}\n\n"));
-                    out.push_str(&format!("| {} |\n", columns.join(" | ")));
-                    out.push_str(&format!(
-                        "|{}\n",
-                        columns.iter().map(|_| " --- |").collect::<String>()
-                    ));
+                    let _ = write!(out, "## {title}\n\n");
+                    markdown_row(&mut out, columns);
+                    out.push('|');
+                    for _ in columns {
+                        out.push_str(" --- |");
+                    }
+                    out.push('\n');
                     for row in rows {
-                        out.push_str(&format!("| {} |\n", row.join(" | ")));
+                        markdown_row(&mut out, row);
                     }
                 }
                 Section::Verbatim(title, text) => {
-                    out.push_str(&format!("## {title}\n\n```\n{}\n```\n", text.trim_end()));
+                    let _ = write!(out, "## {title}\n\n```\n{}\n```\n", text.trim_end());
                 }
                 Section::Prose(title, text) => {
-                    out.push_str(&format!("## {title}\n\n{text}\n"));
+                    let _ = write!(out, "## {title}\n\n{text}\n");
                 }
             }
         }
@@ -353,6 +361,38 @@ impl Report {
             body
         )
     }
+}
+
+/// The `k=v,k=v` label cell of a counter row, written into one string.
+fn label_cell(key: &SeriesKey) -> String {
+    let len = key.labels.iter().map(|(k, v)| k.len() + v.len() + 2).sum();
+    let mut cell = String::with_capacity(len);
+    for (k, v) in &key.labels {
+        if !cell.is_empty() {
+            cell.push(',');
+        }
+        cell.push_str(k);
+        cell.push('=');
+        cell.push_str(v);
+    }
+    cell
+}
+
+/// Appends one markdown table row. A `|` inside a cell is escaped as
+/// `\|`, so a name holding one cannot split its cell and shift the row.
+fn markdown_row(out: &mut String, cells: &[String]) {
+    out.push('|');
+    for cell in cells {
+        out.push(' ');
+        for (i, part) in cell.split('|').enumerate() {
+            if i > 0 {
+                out.push_str("\\|");
+            }
+            out.push_str(part);
+        }
+        out.push_str(" |");
+    }
+    out.push('\n');
 }
 
 /// Minimal HTML escaping for text nodes.
@@ -433,6 +473,19 @@ mod tests {
     }
 
     #[test]
+    fn integral_numbers_print_as_fixed_point_does() {
+        let powers = (0..50).map(|e| 2f64.powi(e) + 1.0);
+        let edges = [0.0, -0.0, 123_456_789.0, 1e15 - 1.0];
+        for v in powers.chain(edges) {
+            assert_eq!(num(v), format!("{v:.0}"), "{v:e}");
+            assert_eq!(num(-v), format!("{:.0}", -v), "{:e}", -v);
+        }
+        assert_eq!(num(-0.0), "-0");
+        assert_eq!(num(1e15), "1000000000000000.000");
+        assert_eq!(num(0.5), "0.500");
+    }
+
+    #[test]
     fn format_parsing() {
         assert_eq!(ReportFormat::parse("md"), Some(ReportFormat::Markdown));
         assert_eq!(
@@ -441,6 +494,48 @@ mod tests {
         );
         assert_eq!(ReportFormat::parse("html"), Some(ReportFormat::Html));
         assert_eq!(ReportFormat::parse("pdf"), None);
+    }
+
+    #[test]
+    fn a_pipe_in_an_imported_name_stays_inside_its_cell() {
+        // `--import` takes function names verbatim from the CSV, so a name
+        // may hold the markdown column separator.
+        let mut csv = String::from("function,offset_ms,duration_ms,memory_mb\n");
+        for i in 0..100 {
+            csv.push_str(&format!(
+                "a|b,{},120,256\nplain,{},80,256\n",
+                i * 3000,
+                i * 3000 + 700
+            ));
+        }
+        let model = sebs_workload_gen::parse_csv(&csv, None).unwrap();
+        let config = SuiteConfig::fast()
+            .with_seed(13)
+            .with_metrics(true)
+            .with_trace_sampling(SamplerSpec::fleet_default())
+            .with_profile(true);
+        let fleet = FleetConfig {
+            provider: ProviderKind::Aws,
+            functions: model.functions.len(),
+            target_invocations: 200,
+            horizon: model.horizon,
+            zipf_exponent: 1.1,
+            cells: 2,
+        };
+        let result = crate::experiments::fleet::run_fleet(&config, &fleet, &model);
+        let md = fleet_report(&config, &fleet, &result).render(ReportFormat::Markdown);
+        assert!(md.contains("function=a\\|b"), "{md}");
+        assert!(md.contains("| a\\|b |"), "{md}");
+        // Every row of a table has as many column separators (unescaped
+        // pipes) as its header.
+        let separators = |line: &str| line.replace("\\|", "").matches('|').count();
+        for table in md.split("\n\n").filter(|block| block.starts_with('|')) {
+            let mut lines = table.lines();
+            let header = separators(lines.next().unwrap());
+            for row in lines {
+                assert_eq!(separators(row), header, "{row}");
+            }
+        }
     }
 
     #[test]

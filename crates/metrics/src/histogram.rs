@@ -88,25 +88,23 @@ impl Histogram {
     /// `NaN` when the histogram is empty, when every sample is NaN, or
     /// when `p` itself is NaN.
     pub fn percentile(&self, p: f64) -> f64 {
-        if p.is_nan() {
-            // Pre-fix `(NaN).ceil() as usize` collapsed to rank 0 and
-            // silently answered the minimum sample.
-            return f64::NAN;
-        }
+        let [v] = self.percentiles([p]);
+        v
+    }
+
+    /// Several percentiles from one sorted copy of the samples, each
+    /// exactly as [`Histogram::percentile`] answers it.
+    pub fn percentiles<const N: usize>(&self, ps: [f64; N]) -> [f64; N] {
         let mut sorted: Vec<f64> = self
             .values
             .iter()
             .copied()
             .filter(|v| !v.is_nan())
             .collect();
-        if sorted.is_empty() {
-            return f64::NAN;
-        }
-        sorted.sort_by(f64::total_cmp);
-        let p = p.clamp(0.0, 100.0);
-        // Nearest rank: the smallest index whose cumulative share >= p.
-        let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-        sorted[rank.saturating_sub(1).min(sorted.len() - 1)]
+        // Samples equal under `total_cmp` are the same bits, so an unstable
+        // sort yields the same order as a stable one.
+        sorted.sort_unstable_by(f64::total_cmp);
+        ps.map(|p| nearest_rank(&sorted, p))
     }
 
     /// Median (p50).
@@ -136,6 +134,19 @@ impl Histogram {
     pub fn sum(&self) -> f64 {
         self.values.iter().sum()
     }
+}
+
+/// The nearest-rank `p`-th percentile of ascending finite samples: the
+/// smallest sample whose cumulative share is at least `p`.
+fn nearest_rank(sorted: &[f64], p: f64) -> f64 {
+    // A NaN `p` once collapsed to rank 0 via `(NaN).ceil() as usize` and
+    // silently answered the minimum sample.
+    if sorted.is_empty() || p.is_nan() {
+        return f64::NAN;
+    }
+    let p = p.clamp(0.0, 100.0);
+    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
+    sorted[rank.saturating_sub(1).min(sorted.len() - 1)]
 }
 
 #[cfg(test)]
@@ -209,6 +220,19 @@ mod tests {
         // return the minimum sample instead of propagating the NaN.
         let h = Histogram::from_values(&[1.0, 2.0, 3.0]);
         assert!(h.percentile(f64::NAN).is_nan());
+    }
+
+    #[test]
+    fn percentiles_share_one_sorted_copy() {
+        let h = Histogram::from_values(&[40.0, f64::NAN, 10.0, 30.0, 20.0]);
+        let [p0, p25, p50, p75, p100, nan] =
+            h.percentiles([0.0, 25.0, 50.0, 75.0, 100.0, f64::NAN]);
+        assert_eq!([p0, p25, p50, p75, p100], [10.0, 10.0, 20.0, 30.0, 40.0]);
+        assert!(nan.is_nan());
+        assert!(Histogram::new()
+            .percentiles([50.0, 99.0])
+            .iter()
+            .all(|v| v.is_nan()));
     }
 
     #[test]

@@ -437,7 +437,7 @@ mod tests {
             Json::Num(0.0),
             Json::Num(-12.5),
             Json::Num(1e-9),
-            Json::Num(3.141592653589793),
+            Json::Num(std::f64::consts::PI),
             Json::Num(1e300),
             Json::Str(String::new()),
             Json::Str("héllo \"world\"\n\t\\ \u{1F600}".into()),

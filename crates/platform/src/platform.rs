@@ -10,13 +10,13 @@ use sebs_cloud::DriftingClock;
 use sebs_resilience::{FaultInjector, FaultPlan, FaultyStore, InjectionCounts, RetryPolicy};
 use sebs_sim::rng::{Rng, StreamRng};
 use sebs_sim::{Phase, PhaseProfiler, SimDuration, SimRng, SimTime};
-use sebs_storage::{ObjectStorage, SimObjectStore, StorageOp};
+use sebs_storage::{ObjectStorage, SimObjectStore};
 use sebs_telemetry::{CounterId, GaugeId, HistogramId, MetricsChunk, MetricsHub};
-use sebs_trace::{InvocationTrace, SamplerSpec, TraceCollector, TraceSpan};
-use sebs_workloads::{InvocationCtx, IoEvent, IoKind, Payload, Workload, WorkloadError};
+use sebs_trace::{InvocationTrace, SamplerSpec, TraceCollector};
+use sebs_workloads::{InvocationCtx, Payload, Workload, WorkloadError};
 
 use crate::billing::InvocationBill;
-use crate::chain::{Attempt, AttemptKind, ChainTimeline, RetryDriver};
+use crate::chain::{Attempt, AttemptKind, RetryDriver};
 use crate::container::ContainerId;
 use crate::function::{FunctionConfig, FunctionId};
 use crate::invocation::{
@@ -25,6 +25,10 @@ use crate::invocation::{
 use crate::pool::{ContainerPool, PoolObservation};
 use crate::provider::ProviderProfile;
 use crate::trigger::TriggerKind;
+
+mod spans;
+
+use spans::{KeptTrace, SpanParts};
 
 /// Errors raised at deployment time.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -310,7 +314,7 @@ pub struct FaasPlatform {
     // Tracing is strictly observational: it consumes no randomness (a
     // sampler draws from its own streams) and no host time, so results are
     // identical with it on or off.
-    traces: TraceCollector,
+    traces: TraceCollector<KeptTrace>,
     // Sim-time phase profiling shares the tracing contract: preallocated,
     // no RNG draw, no wall-clock read, zero cost when `None`.
     profiler: Option<PhaseProfiler>,
@@ -815,11 +819,15 @@ impl FaasPlatform {
             let failed = !chain.outcome.is_success();
             let name = &deployed.config.name;
             if let Some(pending) = self.traces.admit(name, timeline.extent, failed) {
-                let root = build_chain_span(&chain, &timeline, chain_start);
-                debug_assert_eq!(root.validate(), Ok(()), "chain span tree is well-formed");
-                let memory = deployed.effective_memory_mb;
-                self.traces
-                    .keep(pending, self.profile.kind, name, memory, root);
+                let kept = KeptTrace::chain(
+                    deployed,
+                    self.profile.kind,
+                    pending.seq(),
+                    &chain,
+                    &timeline,
+                    chain_start,
+                );
+                self.traces.keep(pending, kept);
             }
         }
         chain
@@ -1170,28 +1178,20 @@ impl FaasPlatform {
         let name = &deployed.config.name;
         let failed = !record.outcome.is_success();
         if let Some(pending) = self.traces.admit(name, record.client_time, failed) {
-            let root = self.build_invocation_span(
-                &deployed,
-                &record,
-                SpanParts {
-                    rtt,
-                    trigger_overhead,
-                    req_transfer,
-                    cold_breakdown,
-                    sandbox_overhead,
-                    penalty,
-                    contention,
-                    io_scale,
-                    io_events: &io_events,
-                },
-            );
-            debug_assert_eq!(
-                root.validate(),
-                Ok(()),
-                "invocation span tree is well-formed"
-            );
-            self.traces
-                .keep(pending, self.profile.kind, name, memory, root);
+            let parts = SpanParts {
+                rtt,
+                trigger_overhead,
+                req_transfer,
+                cold_breakdown,
+                sandbox_overhead,
+                penalty,
+                contention,
+                io_scale,
+                io_events,
+                bandwidth: self.storage.bandwidth(),
+            };
+            let kept = KeptTrace::executed(deployed, self.profile.kind, &record, parts);
+            self.traces.keep(pending, kept);
         }
 
         self.record_invocation_metrics(id, &record, spurious);
@@ -1200,150 +1200,14 @@ impl FaasPlatform {
         (record, Some((acquired.id(), release_at)))
     }
 
-    /// Lays out the full span tree of a completed invocation. Every child
-    /// interval is derived from the same quantities that produced the
-    /// record, so the tree tiles `[submitted_at, submitted_at+client_time)`
-    /// exactly and `validate()` always holds.
-    // audit:allow(hot-path-allocation): span trees are built only when tracing is enabled
-    fn build_invocation_span(
-        &self,
-        deployed: &Deployed,
-        record: &InvocationRecord,
-        parts: SpanParts<'_>,
-    ) -> TraceSpan {
-        let start_kind = if record.start == StartKind::Cold {
-            "cold"
-        } else {
-            "warm"
-        };
-        let t0 = record.submitted_at;
-        let mut root = TraceSpan::new("invocation", t0, record.client_time)
-            .with_arg("benchmark", deployed.config.name.as_str())
-            .with_arg("provider", self.profile.kind.to_string())
-            .with_arg("start", start_kind)
-            .with_arg("outcome", record.outcome.label())
-            .with_arg("memory_mb", record.configured_memory_mb.to_string())
-            .with_arg("concurrency", record.concurrency.to_string());
-        let mut cursor = t0;
-
-        let request_leg = parts.rtt / 2 + parts.req_transfer;
-        root.push_child(TraceSpan::new("network.request", cursor, request_leg));
-        cursor += request_leg;
-
-        root.push_child(TraceSpan::new(
-            "trigger.dispatch",
-            cursor,
-            parts.trigger_overhead,
-        ));
-        cursor += parts.trigger_overhead;
-
-        let cold_init = parts
-            .cold_breakdown
-            .as_ref()
-            .map_or(SimDuration::ZERO, |b| b.total());
-        let mut acquire =
-            TraceSpan::new("sandbox.acquire", cursor, cold_init).with_arg("start", start_kind);
-        if let Some(bd) = &parts.cold_breakdown {
-            let mut at = cursor;
-            for (phase, dur) in [
-                ("cold.provisioning", bd.provisioning),
-                ("cold.package-fetch", bd.package_fetch),
-                ("cold.runtime-boot", bd.runtime_boot),
-                ("cold.user-init", bd.user_init),
-                ("cold.noise", bd.noise),
-            ] {
-                acquire.push_child(TraceSpan::new(phase, at, dur));
-                at += dur;
-            }
-        }
-        root.push_child(acquire);
-        cursor += cold_init;
-
-        let exec_dur = record.benchmark_time + parts.sandbox_overhead + parts.penalty;
-        let exec_end = cursor + exec_dur;
-        let mut exec = TraceSpan::new("execute", cursor, exec_dur);
-        if matches!(record.outcome, InvocationOutcome::Timeout) {
-            // The run was cut off at the limit, so per-operation sub-spans
-            // would spill past the truncated window.
-            exec = exec.with_arg("truncated", "true");
-        } else {
-            let overhead = parts.sandbox_overhead + parts.penalty;
-            let mut at = cursor;
-            exec.push_child(TraceSpan::new("runtime.overhead", at, overhead));
-            at += overhead;
-            for ev in parts.io_events {
-                // Per-op durations are scaled like the aggregate io_time;
-                // clamping absorbs sub-nanosecond float rounding.
-                let scaled = ev.duration.mul_f64(parts.contention / parts.io_scale);
-                let dur = scaled.min(remaining_until(at, exec_end));
-                exec.push_child(self.io_span(ev, at, dur));
-                at += dur;
-            }
-            exec.push_child(TraceSpan::new(
-                "exec.compute",
-                at,
-                remaining_until(at, exec_end),
-            ));
-        }
-        root.push_child(exec);
-        cursor = exec_end;
-
-        root.push_child(
-            TraceSpan::new("billing.finalize", cursor, SimDuration::ZERO)
-                .with_arg(
-                    "billed_ms",
-                    format!("{:.3}", record.bill.billed_duration.as_millis_f64()),
-                )
-                .with_arg("cost_usd", format!("{:.9}", record.bill.total_usd())),
-        );
-        root.push_child(TraceSpan::new(
-            "network.response",
-            cursor,
-            remaining_until(cursor, t0 + record.client_time),
-        ));
-        root
-    }
-
-    // audit:allow(hot-path-allocation): span trees are built only when tracing is enabled
-    fn io_span(&self, ev: &IoEvent, at: SimTime, dur: SimDuration) -> TraceSpan {
-        match ev.kind {
-            IoKind::Get | IoKind::Put => {
-                let op = if ev.kind == IoKind::Get {
-                    StorageOp::Get
-                } else {
-                    StorageOp::Put
-                };
-                TraceSpan::new(format!("storage.{}", op.name()), at, dur)
-                    .with_arg("object", format!("{}/{}", ev.bucket, ev.key))
-                    .with_arg("bytes", ev.bytes.to_string())
-                    .with_arg(
-                        "transfer_ms",
-                        format!(
-                            "{:.3}",
-                            self.storage.transfer_time(op, ev.bytes).as_millis_f64()
-                        ),
-                    )
-            }
-            IoKind::External => TraceSpan::new("io.external", at, dur),
-        }
-    }
-
     /// Observes an invocation rejected before a sandbox was acquired
     /// (payload limit, throttle, availability error): a root-only failure
     /// trace plus its metrics.
-    // audit:allow(hot-path-allocation): span trees are built only when tracing is enabled
-    fn observe_rejection(&mut self, deployed: &Deployed, record: &InvocationRecord) {
-        let benchmark = &deployed.config.name;
-        if let Some(pending) = self.traces.admit(benchmark, record.client_time, true) {
-            let root = TraceSpan::new("invocation", record.submitted_at, record.client_time)
-                .with_arg("benchmark", benchmark.as_str())
-                .with_arg("provider", self.profile.kind.to_string())
-                .with_arg("outcome", record.outcome.label())
-                .with_arg("memory_mb", record.configured_memory_mb.to_string())
-                .with_arg("concurrency", record.concurrency.to_string());
-            let memory = record.configured_memory_mb;
-            self.traces
-                .keep(pending, self.profile.kind, benchmark, memory, root);
+    fn observe_rejection(&mut self, deployed: &Rc<Deployed>, record: &InvocationRecord) {
+        let name = &deployed.config.name;
+        if let Some(pending) = self.traces.admit(name, record.client_time, true) {
+            let kept = KeptTrace::rejected(Rc::clone(deployed), self.profile.kind, record);
+            self.traces.keep(pending, kept);
         }
         self.record_invocation_metrics(record.function, record, false);
     }
@@ -1380,27 +1244,6 @@ impl Attempt for BoxInvoker<'_> {
     }
 }
 
-/// The intermediate quantities of `invoke_one` that the span layout needs.
-struct SpanParts<'a> {
-    rtt: SimDuration,
-    trigger_overhead: SimDuration,
-    req_transfer: SimDuration,
-    cold_breakdown: Option<crate::coldstart::ColdStartBreakdown>,
-    sandbox_overhead: SimDuration,
-    penalty: SimDuration,
-    contention: f64,
-    io_scale: f64,
-    io_events: &'a [IoEvent],
-}
-
-fn remaining_until(at: SimTime, end: SimTime) -> SimDuration {
-    if at < end {
-        end - at
-    } else {
-        SimDuration::ZERO
-    }
-}
-
 /// Maps a workload failure onto its structured, retry-relevant class.
 fn classify_workload_error(e: &WorkloadError) -> FunctionErrorKind {
     match e {
@@ -1408,44 +1251,6 @@ fn classify_workload_error(e: &WorkloadError) -> FunctionErrorKind {
         WorkloadError::TransientStorage(_) => FunctionErrorKind::TransientStorage,
         WorkloadError::BadPayload(_) => FunctionErrorKind::BadRequest,
     }
-}
-
-/// Lays out the synthetic span tree of an attempt chain from the
-/// driver's timeline: `attempt` children, the `hedge` attempt at the
-/// threshold offset it raced from, and a `backoff.wait` span ending where
-/// each retry starts. The effective (possibly hedge-shortened) latency is
-/// an arg on the root; the root interval covers the chain's full extent.
-fn build_chain_span(chain: &AttemptChain, timeline: &ChainTimeline, start: SimTime) -> TraceSpan {
-    let mut root = TraceSpan::new("invoke.chain", start, timeline.extent)
-        .with_arg("outcome", chain.outcome.label())
-        .with_arg("attempts", chain.attempts.len().to_string())
-        .with_arg(
-            "effective_client_ms",
-            format!("{:.3}", chain.client_time.as_millis_f64()),
-        );
-    let mut retry = 0;
-    for (i, (attempt, offset)) in chain.attempts.iter().zip(&timeline.starts).enumerate() {
-        let at = start + *offset;
-        if chain.hedged && i == 1 {
-            root.push_child(
-                TraceSpan::new("hedge", at, attempt.client_time)
-                    .with_arg("outcome", attempt.outcome.label())
-                    .with_arg("won", chain.hedge_won.to_string()),
-            );
-            continue;
-        }
-        if retry > 0 {
-            let wait = chain.waits[retry - 1];
-            root.push_child(TraceSpan::new("backoff.wait", at - wait, wait));
-        }
-        root.push_child(
-            TraceSpan::new("attempt", at, attempt.client_time)
-                .with_arg("index", retry.to_string())
-                .with_arg("outcome", attempt.outcome.label()),
-        );
-        retry += 1;
-    }
-    root
 }
 
 /// Overrides the `model-cached` parameter so warm containers keep loaded
@@ -2328,6 +2133,26 @@ mod tests {
         assert!(put.args.iter().any(|(k, _)| k == "bytes"));
         assert!(put.args.iter().any(|(k, _)| k == "transfer_ms"));
         assert_eq!(root.validate(), Ok(()));
+    }
+
+    #[test]
+    fn a_kept_trace_is_laid_out_from_the_state_at_its_invocation() {
+        let run = |swap_store: bool| {
+            let mut p = aws();
+            p.set_tracing(true);
+            let wl = Uploader::new(Language::Python);
+            let fid = p
+                .deploy(FunctionConfig::new("uploader", Language::Python, 1024))
+                .unwrap();
+            let payload = p.prepare(&wl, Scale::Test);
+            p.invoke(fid, &wl, &payload);
+            if swap_store {
+                // The tree is built at the drain, after the store changed.
+                *p.storage_mut() = SimObjectStore::default_model().with_bandwidth_scale(0.5);
+            }
+            p.take_traces()
+        };
+        assert_eq!(run(true), run(false));
     }
 
     #[test]

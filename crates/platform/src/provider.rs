@@ -58,7 +58,6 @@ impl MemoryPolicy {
     /// # Errors
     ///
     /// Returns a description of the violated constraint.
-    // audit:allow(hot-path-allocation): error strings are built only for rejected configurations
     pub fn validate(&self, requested_mb: u32) -> Result<u32, String> {
         match self {
             MemoryPolicy::StaticRange {

@@ -18,4 +18,4 @@ pub mod ephemeral;
 pub mod object;
 
 pub use ephemeral::EphemeralKv;
-pub use object::{ObjectStorage, SimObjectStore, StorageError, StorageOp, StorageStats};
+pub use object::{Bandwidth, ObjectStorage, SimObjectStore, StorageError, StorageOp, StorageStats};

@@ -167,11 +167,32 @@ pub struct SimObjectStore {
     get_latency_ms: Dist,
     put_latency_ms: Dist,
     list_latency_ms: Dist,
+    bandwidth: Bandwidth,
+    stats: StorageStats,
+}
+
+/// A store's two bandwidths, which set the transfer part of an
+/// operation's latency.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Bandwidth {
     /// Download bandwidth, bytes/s.
     read_bps: f64,
     /// Upload bandwidth, bytes/s.
     write_bps: f64,
-    stats: StorageStats,
+}
+
+impl Bandwidth {
+    /// The pure bandwidth component of an operation's latency
+    /// (`bytes / bandwidth`), with no first-byte latency and no randomness.
+    /// The tracing layer captures a store's bandwidth to annotate storage
+    /// spans without touching any RNG stream.
+    pub fn transfer_time(&self, op: StorageOp, bytes: u64) -> SimDuration {
+        let bps = match op {
+            StorageOp::Get | StorageOp::List => self.read_bps,
+            StorageOp::Put => self.write_bps,
+        };
+        SimDuration::from_secs_f64(bytes as f64 / bps)
+    }
 }
 
 impl SimObjectStore {
@@ -197,8 +218,10 @@ impl SimObjectStore {
             get_latency_ms,
             put_latency_ms,
             list_latency_ms,
-            read_bps,
-            write_bps,
+            bandwidth: Bandwidth {
+                read_bps,
+                write_bps,
+            },
             stats: StorageStats::default(),
         }
     }
@@ -230,8 +253,8 @@ impl SimObjectStore {
     /// function's memory size (paper §6.2 Q1).
     pub fn with_bandwidth_scale(mut self, factor: f64) -> Self {
         assert!(factor > 0.0, "bandwidth scale must be positive");
-        self.read_bps *= factor;
-        self.write_bps *= factor;
+        self.bandwidth.read_bps *= factor;
+        self.bandwidth.write_bps *= factor;
         self
     }
 
@@ -258,16 +281,15 @@ impl SimObjectStore {
         base.sample_millis(rng) + self.transfer_time(op, bytes)
     }
 
-    /// The pure bandwidth component of an operation's latency
-    /// (`bytes / bandwidth`), with no first-byte latency and no randomness.
-    /// Used by the tracing layer to annotate storage spans without touching
-    /// any RNG stream.
+    /// The store's bandwidths.
+    pub fn bandwidth(&self) -> Bandwidth {
+        self.bandwidth
+    }
+
+    /// The pure bandwidth component of an operation's latency; see
+    /// [`Bandwidth::transfer_time`].
     pub fn transfer_time(&self, op: StorageOp, bytes: u64) -> SimDuration {
-        let bps = match op {
-            StorageOp::Get | StorageOp::List => self.read_bps,
-            StorageOp::Put => self.write_bps,
-        };
-        SimDuration::from_secs_f64(bytes as f64 / bps)
+        self.bandwidth.transfer_time(op, bytes)
     }
 }
 

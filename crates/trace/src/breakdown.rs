@@ -10,12 +10,12 @@ use crate::sink::TraceSink;
 ///
 /// The map is a `BTreeMap`, so iteration — and therefore the rendered
 /// table — is alphabetical and deterministic.
-pub fn phase_histograms(sink: &TraceSink) -> BTreeMap<String, Histogram> {
-    let mut phases: BTreeMap<String, Histogram> = BTreeMap::new();
+pub fn phase_histograms(sink: &TraceSink) -> BTreeMap<&str, Histogram> {
+    let mut phases: BTreeMap<&str, Histogram> = BTreeMap::new();
     for trace in sink.traces() {
         trace.root.walk(&mut |span, _| {
             phases
-                .entry(span.name.clone())
+                .entry(span.name.as_str())
                 .or_default()
                 .push(span.duration.as_millis_f64());
         });
@@ -37,12 +37,13 @@ pub fn breakdown_table(sink: &TraceSink) -> String {
         "Total [ms]",
     ]);
     for (name, hist) in phase_histograms(sink) {
+        let [p50, p95, p99] = hist.percentiles([50.0, 95.0, 99.0]);
         table.row(vec![
-            name,
+            name.to_string(),
             hist.len().to_string(),
-            fmt_ms(hist.p50()),
-            fmt_ms(hist.p95()),
-            fmt_ms(hist.p99()),
+            fmt_ms(p50),
+            fmt_ms(p95),
+            fmt_ms(p99),
             fmt_ms(hist.mean()),
             fmt_ms(hist.sum()),
         ]);
@@ -93,7 +94,8 @@ mod tests {
 
     #[test]
     fn histograms_group_by_phase() {
-        let phases = phase_histograms(&sink());
+        let sink = sink();
+        let phases = phase_histograms(&sink);
         assert_eq!(phases.len(), 2);
         assert_eq!(phases["invocation"].len(), 3);
         assert_eq!(phases["execute"].p50(), 20.0);

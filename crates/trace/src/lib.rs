@@ -11,8 +11,10 @@
 //! * [`InvocationTrace`] — the span tree of one invocation plus its
 //!   canonical coordinates (grid cell, per-platform sequence number).
 //! * [`TraceCollector`] — one platform's collection, for the single box and
-//!   the cluster alike: it numbers traces, admits each before its span tree
-//!   is built, and keeps all of them or those a [`TraceSampler`] admits.
+//!   the cluster alike: it numbers traces, admits each from its
+//!   coordinates, keeps a [`TraceRecord`] for all of them or for those a
+//!   [`TraceSampler`] admits, and builds span trees only for the records
+//!   still kept when it drains.
 //! * [`TraceSink`] — a per-worker collection that merges in canonical cell
 //!   order, exactly like `ResultStore`; serialized traces are therefore
 //!   byte-identical for every `--jobs` value.
@@ -37,5 +39,5 @@ pub mod span;
 pub use breakdown::breakdown_table;
 pub use chrome::chrome_trace_json;
 pub use sampler::{Admission, SamplerSpec, TraceSampler};
-pub use sink::{InvocationTrace, Pending, TraceCollector, TraceSink};
+pub use sink::{InvocationTrace, Pending, TraceCollector, TraceRecord, TraceSink};
 pub use span::TraceSpan;

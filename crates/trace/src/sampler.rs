@@ -26,7 +26,7 @@ use std::collections::BTreeMap;
 
 use sebs_sim::{fnv1a, Rng, SimDuration, SimRng, StreamRng};
 
-use crate::sink::InvocationTrace;
+use crate::sink::{build_trace, InvocationTrace, TraceRecord};
 
 /// Sampling knobs. The defaults bound a fleet cell to roughly
 /// `4·functions + 32` kept traces regardless of invocation count.
@@ -58,16 +58,17 @@ impl SamplerSpec {
     }
 }
 
-/// One function's seeded reservoir (Algorithm R).
+/// One function's seeded reservoir (Algorithm R). A slot holds `S`: the
+/// `seq` of a kept record in [`TraceSampler`], or a whole built trace.
 #[derive(Debug)]
-struct FnReservoir {
+struct FnReservoir<S = InvocationTrace> {
     rng: StreamRng,
     seen: u64,
-    slots: Vec<InvocationTrace>,
+    slots: Vec<S>,
 }
 
-/// Where [`TraceSampler::admit`] decided to keep a trace. Build the trace
-/// and hand both to [`TraceSampler::keep`] before the next admission.
+/// Where [`TraceSampler::admit`] decided to keep a trace. Hand it with
+/// the trace's record to [`TraceSampler::keep`] before the next admission.
 #[derive(Debug)]
 #[must_use = "an admitted trace must be handed to `TraceSampler::keep`"]
 pub struct Admission {
@@ -76,9 +77,16 @@ pub struct Admission {
     error: bool,
     /// Joins the slowest-K under key `(nanos, seq)`.
     slowest_nanos: Option<u64>,
-    /// Fills (index == len) or replaces this slot of its function's
-    /// reservoir.
-    reservoir_slot: Option<usize>,
+    /// The function's reservoir, and the slot of it the trace fills
+    /// (index == len) or replaces.
+    reservoir_slot: Option<(usize, usize)>,
+}
+
+/// A kept record and how many of the three categories hold it.
+#[derive(Debug)]
+struct Held<T> {
+    holders: u8,
+    record: T,
 }
 
 /// Bounded deterministic trace keeper. See the module docs for the
@@ -86,33 +94,41 @@ pub struct Admission {
 /// and in sequence order.
 ///
 /// A trace is admitted from its coordinates alone ([`TraceSampler::admit`]),
-/// so a caller builds the span tree only for the few traces the sampler
-/// keeps ([`TraceSampler::keep`]).
+/// and the sampler keeps what the caller hands it for an admitted trace
+/// ([`TraceSampler::keep`]): a [`TraceRecord`], whose span tree is built
+/// only if it is still kept at the drain. Each record is held once, by
+/// `seq`, however many categories keep it.
 #[derive(Debug)]
-pub struct TraceSampler {
+pub struct TraceSampler<T = InvocationTrace> {
     spec: SamplerSpec,
     root: SimRng,
-    reservoirs: BTreeMap<String, FnReservoir>,
-    /// Slowest-K, kept sorted ascending by `(duration nanos, seq)`; the
-    /// head is the first to be evicted.
-    slowest: Vec<(u64, u64, InvocationTrace)>,
-    errors: Vec<InvocationTrace>,
+    /// Each function's position in `reservoirs`.
+    functions: BTreeMap<String, usize>,
+    reservoirs: Vec<FnReservoir<u64>>,
+    /// Slowest-K `(duration nanos, seq)`, kept sorted ascending; the head
+    /// is the first to be evicted.
+    slowest: Vec<(u64, u64)>,
+    /// The `seq` of each error exemplar.
+    errors: Vec<u64>,
+    held: BTreeMap<u64, Held<T>>,
     seen: u64,
     errors_seen: u64,
 }
 
-impl TraceSampler {
+impl<T> TraceSampler<T> {
     /// A sampler rooted at `seed`. The seed is typically the owning
     /// platform's seed; all draws come from dedicated `trace-reservoir`
     /// streams derived from it, so the sampler shares no randomness with
     /// the simulation.
-    pub fn new(spec: SamplerSpec, seed: u64) -> TraceSampler {
+    pub fn new(spec: SamplerSpec, seed: u64) -> TraceSampler<T> {
         TraceSampler {
             spec,
             root: SimRng::new(seed),
-            reservoirs: BTreeMap::new(),
+            functions: BTreeMap::new(),
+            reservoirs: Vec::new(),
             slowest: Vec::with_capacity(spec.slowest_k),
             errors: Vec::with_capacity(spec.error_k),
+            held: BTreeMap::new(),
             seen: 0,
             errors_seen: 0,
         }
@@ -130,10 +146,7 @@ impl TraceSampler {
 
     /// Traces currently held across all categories (before dedup).
     pub fn kept(&self) -> usize {
-        self.reservoirs
-            .values()
-            .map(|r| r.slots.len())
-            .sum::<usize>()
+        self.reservoirs.iter().map(|r| r.slots.len()).sum::<usize>()
             + self.slowest.len()
             + self.errors.len()
     }
@@ -144,7 +157,7 @@ impl TraceSampler {
     /// set is the same as offering every built trace. `failed` marks error
     /// exemplars (the caller knows the outcome; the sampler does not parse
     /// span args). `None` means the trace is kept nowhere and need not be
-    /// built.
+    /// recorded.
     pub fn admit(
         &mut self,
         function: &str,
@@ -168,28 +181,45 @@ impl TraceSampler {
         kept.then_some(admission)
     }
 
-    /// Stores a trace where [`TraceSampler::admit`] placed it. `trace` must
-    /// be the admitted invocation's, built before any other admission.
-    pub fn keep(&mut self, admission: Admission, trace: InvocationTrace) {
-        debug_assert_eq!(admission.seq, trace.seq, "kept trace is the admitted one");
+    /// Holds `record` where [`TraceSampler::admit`] placed it, releasing
+    /// whatever it evicts. `record` must be the admitted invocation's,
+    /// handed over before any other admission.
+    pub fn keep(&mut self, admission: Admission, record: T) {
+        let seq = admission.seq;
+        let holders = u8::from(admission.error)
+            + u8::from(admission.slowest_nanos.is_some())
+            + u8::from(admission.reservoir_slot.is_some());
+        self.held.insert(seq, Held { holders, record });
         if admission.error {
-            self.errors.push(trace.clone());
+            self.errors.push(seq);
         }
         if let Some(nanos) = admission.slowest_nanos {
             if self.slowest.len() >= self.spec.slowest_k {
-                self.slowest.remove(0);
+                let (_, evicted) = self.slowest.remove(0);
+                self.release(evicted);
             }
-            let key = (nanos, admission.seq);
-            let at = self.slowest.partition_point(|&(d, s, _)| (d, s) < key);
-            self.slowest
-                .insert(at, (nanos, admission.seq, trace.clone()));
+            let at = self.slowest.partition_point(|&key| key < (nanos, seq));
+            self.slowest.insert(at, (nanos, seq));
         }
-        if let Some(slot) = admission.reservoir_slot {
-            if let Some(res) = self.reservoirs.get_mut(&trace.benchmark) {
-                match res.slots.get_mut(slot) {
-                    Some(kept) => *kept = trace,
-                    None => res.slots.push(trace),
+        if let Some((function, slot)) = admission.reservoir_slot {
+            let slots = &mut self.reservoirs[function].slots;
+            match slots.get_mut(slot) {
+                Some(kept) => {
+                    let evicted = std::mem::replace(kept, seq);
+                    self.release(evicted);
                 }
+                None => slots.push(seq),
+            }
+        }
+    }
+
+    /// Drops one category's hold on the record of `seq`, and the record
+    /// with the last hold.
+    fn release(&mut self, seq: u64) {
+        if let Some(held) = self.held.get_mut(&seq) {
+            held.holders -= 1;
+            if held.holders == 0 {
+                self.held.remove(&seq);
             }
         }
     }
@@ -202,9 +232,7 @@ impl TraceSampler {
             return None;
         }
         match self.slowest.first() {
-            Some(&(d, s, _))
-                if self.slowest.len() >= self.spec.slowest_k && (nanos, seq) <= (d, s) =>
-            {
+            Some(&head) if self.slowest.len() >= self.spec.slowest_k && (nanos, seq) <= head => {
                 None
             }
             _ => Some(nanos),
@@ -214,51 +242,56 @@ impl TraceSampler {
     /// Feeds the per-function reservoir (Algorithm R): the first
     /// `reservoir_per_fn` invocations of a function fill the slots; the
     /// `n`-th (n > k) replaces a uniform slot with probability `k / n`.
-    /// Returns the slot the trace takes.
-    // audit:allow(hot-path-allocation): a function's name and reservoir are allocated once, at its first sight
-    fn admit_reservoir(&mut self, function: &str) -> Option<usize> {
+    /// Returns the function's reservoir and the slot the trace takes.
+    fn admit_reservoir(&mut self, function: &str) -> Option<(usize, usize)> {
         let k = self.spec.reservoir_per_fn;
         if k == 0 {
             return None;
         }
-        if !self.reservoirs.contains_key(function) {
-            let salt = fnv1a(function.as_bytes());
-            self.reservoirs.insert(
-                function.to_string(),
-                FnReservoir {
-                    rng: self.root.stream_indexed("trace-reservoir", salt),
-                    seen: 0,
-                    slots: Vec::with_capacity(k),
-                },
-            );
-        }
-        let res = self.reservoirs.get_mut(function)?;
+        let at = match self.functions.get(function) {
+            Some(&at) => at,
+            None => self.add_reservoir(function),
+        };
+        let res = &mut self.reservoirs[at];
         res.seen += 1;
         if res.slots.len() < k {
-            return Some(res.slots.len());
+            return Some((at, res.slots.len()));
         }
         let j = res.rng.gen_range(0..res.seen);
-        ((j as usize) < k).then_some(j as usize)
+        ((j as usize) < k).then_some((at, j as usize))
     }
 
-    /// Takes the kept traces, deduplicated by sequence number and sorted
-    /// ascending by `seq` — the canonical per-platform order. Reservoir
-    /// counters and RNG streams carry on, so continuing to offer after a
-    /// drain stays deterministic.
-    pub fn drain(&mut self) -> Vec<InvocationTrace> {
-        let mut by_seq: BTreeMap<u64, InvocationTrace> = BTreeMap::new();
-        for t in self.errors.drain(..) {
-            by_seq.insert(t.seq, t);
+    /// Opens the reservoir of a function seen for the first time.
+    // audit:allow(hot-path-allocation): a function's name and reservoir are allocated once, at its first sight
+    fn add_reservoir(&mut self, function: &str) -> usize {
+        let salt = fnv1a(function.as_bytes());
+        let at = self.reservoirs.len();
+        self.reservoirs.push(FnReservoir {
+            rng: self.root.stream_indexed("trace-reservoir", salt),
+            seen: 0,
+            slots: Vec::with_capacity(self.spec.reservoir_per_fn),
+        });
+        self.functions.insert(function.to_string(), at);
+        at
+    }
+
+    /// Builds the span tree of every record still kept, deduplicated and
+    /// sorted ascending by `seq` — the canonical per-platform order.
+    /// Reservoir counters and RNG streams carry on, so continuing to offer
+    /// after a drain stays deterministic.
+    pub fn drain(&mut self) -> Vec<InvocationTrace>
+    where
+        T: TraceRecord,
+    {
+        self.errors.clear();
+        self.slowest.clear();
+        for r in &mut self.reservoirs {
+            r.slots.clear();
         }
-        for (_, _, t) in self.slowest.drain(..) {
-            by_seq.insert(t.seq, t);
-        }
-        for r in self.reservoirs.values_mut() {
-            for t in r.slots.drain(..) {
-                by_seq.insert(t.seq, t);
-            }
-        }
-        by_seq.into_values().collect()
+        std::mem::take(&mut self.held)
+            .into_iter()
+            .map(|(seq, held)| build_trace(held.record, seq))
+            .collect()
     }
 }
 

@@ -2,8 +2,6 @@
 //! each platform numbers and keeps its own traces ([`TraceCollector`]), and
 //! a run merges its cells' traces in canonical order ([`TraceSink`]).
 
-use std::fmt::Display;
-
 use sebs_sim::SimDuration;
 
 use crate::sampler::{Admission, SamplerSpec, TraceSampler};
@@ -28,20 +26,60 @@ pub struct InvocationTrace {
     pub root: TraceSpan,
 }
 
-/// Numbers one platform's traces and keeps every admitted one, or the
-/// bounded set a [`TraceSampler`] picks. Off until enabled.
+/// What a collector keeps for an admitted invocation until it drains:
+/// the inputs of the invocation's span tree, which is built only if the
+/// record is still kept then.
+pub trait TraceRecord {
+    /// Builds the trace of the invocation numbered `seq`.
+    fn build(self, seq: u64) -> InvocationTrace;
+}
+
+/// A tree built at admission is its own record.
+impl TraceRecord for InvocationTrace {
+    fn build(self, seq: u64) -> InvocationTrace {
+        debug_assert_eq!(self.seq, seq, "the kept trace is the admitted one");
+        self
+    }
+}
+
+/// Builds one kept record's trace; every drain goes through here.
+pub(crate) fn build_trace<R: TraceRecord>(record: R, seq: u64) -> InvocationTrace {
+    let trace = record.build(seq);
+    debug_assert_eq!(
+        trace.root.validate(),
+        Ok(()),
+        "the span tree of trace {seq} is well-formed"
+    );
+    trace
+}
+
+/// Numbers one platform's traces and keeps the record of every admitted
+/// one, or of the bounded set a [`TraceSampler`] picks. Off until enabled.
 ///
 /// A caller asks [`TraceCollector::admit`] with a trace's coordinates,
-/// builds the span tree only when it gets a [`Pending`] back, and hands
-/// both to [`TraceCollector::keep`] before the next admission. Each
-/// admission while collection is on takes the next `seq`, kept or not.
-#[derive(Debug, Default)]
-pub struct TraceCollector {
+/// captures the invocation's [`TraceRecord`] only when it gets a
+/// [`Pending`] back, and hands both to [`TraceCollector::keep`] before the
+/// next admission. Each admission while collection is on takes the next
+/// `seq`, kept or not. [`TraceCollector::take`] builds the span trees of
+/// the records still kept.
+#[derive(Debug)]
+pub struct TraceCollector<R> {
     enabled: bool,
     next_seq: u64,
-    /// When installed, it keeps the traces and `all` stays empty.
-    sampler: Option<TraceSampler>,
-    all: Vec<InvocationTrace>,
+    /// When installed, it keeps the records and `all` stays empty.
+    sampler: Option<TraceSampler<R>>,
+    all: Vec<(u64, R)>,
+}
+
+impl<R> Default for TraceCollector<R> {
+    fn default() -> TraceCollector<R> {
+        TraceCollector {
+            enabled: false,
+            next_seq: 0,
+            sampler: None,
+            all: Vec::new(),
+        }
+    }
 }
 
 /// A numbered trace that [`TraceCollector::admit`] decided to keep.
@@ -49,11 +87,17 @@ pub struct TraceCollector {
 #[must_use = "an admitted trace must be handed to `TraceCollector::keep`"]
 pub struct Pending {
     seq: u64,
-    duration: SimDuration,
     admission: Option<Admission>,
 }
 
-impl TraceCollector {
+impl Pending {
+    /// The admitted trace's sequence number.
+    pub fn seq(&self) -> u64 {
+        self.seq
+    }
+}
+
+impl<R> TraceCollector<R> {
     /// Switches collection on or off; an installed sampler stays.
     pub fn set_enabled(&mut self, enabled: bool) {
         self.enabled = enabled;
@@ -72,7 +116,8 @@ impl TraceCollector {
 
     /// Numbers the next trace, of function `name` with root-span
     /// `duration`, and decides whether it is kept. `None` when collection
-    /// is off or the sampler drops the trace, which then need not be built.
+    /// is off or the sampler drops the trace, which then need not be
+    /// recorded.
     #[inline]
     pub fn admit(&mut self, name: &str, duration: SimDuration, failed: bool) -> Option<Pending> {
         if !self.enabled {
@@ -91,44 +136,33 @@ impl TraceCollector {
             Some(sampler) => Some(sampler.admit(name, duration, seq, failed)?),
             None => None,
         };
-        Some(Pending {
-            seq,
-            duration,
-            admission,
-        })
+        Some(Pending { seq, admission })
     }
 
-    /// Stores the trace that `pending` admitted, rooted at `root`.
-    // audit:allow(hot-path-allocation): a trace record is built only for an admitted trace
-    pub fn keep(
-        &mut self,
-        pending: Pending,
-        provider: impl Display,
-        benchmark: &str,
-        memory_mb: u32,
-        root: TraceSpan,
-    ) {
-        debug_assert_eq!(root.duration, pending.duration, "the admitted root");
-        let trace = InvocationTrace {
-            provider: provider.to_string(),
-            benchmark: benchmark.to_string(),
-            memory_mb,
-            cell: None,
-            seq: pending.seq,
-            root,
-        };
+    /// Keeps the record of the trace that `pending` admitted.
+    // Out of line, like `number`: the caller's path for a trace that is
+    // not kept carries no inlined copy of it.
+    #[inline(never)]
+    pub fn keep(&mut self, pending: Pending, record: R) {
         match (self.sampler.as_mut(), pending.admission) {
-            (Some(sampler), Some(admission)) => sampler.keep(admission, trace),
-            _ => self.all.push(trace),
+            (Some(sampler), Some(admission)) => sampler.keep(admission, record),
+            _ => self.all.push((pending.seq, record)),
         }
     }
 
-    /// Drains the kept traces in `seq` order; a sampler's counters and
-    /// RNG streams carry on.
-    pub fn take(&mut self) -> Vec<InvocationTrace> {
+    /// Builds the traces of the records still kept and drains them in
+    /// `seq` order; a sampler's counters and RNG streams carry on.
+    pub fn take(&mut self) -> Vec<InvocationTrace>
+    where
+        R: TraceRecord,
+    {
         match self.sampler.as_mut() {
             Some(sampler) => sampler.drain(),
-            None => std::mem::take(&mut self.all),
+            None => self
+                .all
+                .drain(..)
+                .map(|(seq, record)| build_trace(record, seq))
+                .collect(),
         }
     }
 }
@@ -200,6 +234,7 @@ impl TraceSink {
 mod tests {
     use super::*;
     use sebs_sim::SimTime;
+    use std::cell::Cell;
 
     fn trace(cell: Option<u64>, seq: u64) -> InvocationTrace {
         InvocationTrace {
@@ -261,11 +296,19 @@ mod tests {
         assert_eq!(s.span_count(), 1);
     }
 
-    fn collect(c: &mut TraceCollector, function: &str, millis: u64, failed: bool) {
+    fn collect(c: &mut TraceCollector<InvocationTrace>, function: &str, millis: u64, failed: bool) {
         let duration = SimDuration::from_millis(millis);
         if let Some(pending) = c.admit(function, duration, failed) {
             let root = TraceSpan::new("invocation", SimTime::ZERO, duration);
-            c.keep(pending, "aws", function, 256, root);
+            let trace = InvocationTrace {
+                provider: "aws".into(),
+                benchmark: function.into(),
+                memory_mb: 256,
+                cell: None,
+                seq: pending.seq(),
+                root,
+            };
+            c.keep(pending, trace);
         }
     }
 
@@ -285,6 +328,59 @@ mod tests {
         assert_eq!(kept[1].benchmark, "g");
         assert_eq!(kept[1].provider, "aws");
         assert!(c.take().is_empty(), "take drains");
+    }
+
+    /// A record that counts the trees built from it.
+    struct Counted<'a> {
+        builds: &'a Cell<usize>,
+        function: &'static str,
+        duration: SimDuration,
+    }
+
+    impl TraceRecord for Counted<'_> {
+        fn build(self, seq: u64) -> InvocationTrace {
+            self.builds.set(self.builds.get() + 1);
+            InvocationTrace {
+                provider: "aws".into(),
+                benchmark: self.function.into(),
+                memory_mb: 256,
+                cell: None,
+                seq,
+                root: TraceSpan::new("invocation", SimTime::ZERO, self.duration),
+            }
+        }
+    }
+
+    #[test]
+    fn only_records_still_kept_at_the_drain_are_built() {
+        let spec = SamplerSpec::fleet_default();
+        let builds = Cell::new(0);
+        let mut c = TraceCollector::default();
+        c.enable_sampling(spec, 7);
+        let mut admitted = 0;
+        for i in 0..5_000u64 {
+            let function = ["a", "b", "c"][i as usize % 3];
+            let duration = SimDuration::from_millis(i % 97);
+            if let Some(pending) = c.admit(function, duration, i % 500 == 0) {
+                admitted += 1;
+                let record = Counted {
+                    builds: &builds,
+                    function,
+                    duration,
+                };
+                c.keep(pending, record);
+            }
+        }
+        assert_eq!(builds.get(), 0, "admission builds nothing");
+        let kept = c.take();
+        assert_eq!(builds.get(), kept.len(), "one tree per kept trace");
+        assert!(kept.len() <= spec.max_kept(3), "kept {}", kept.len());
+        assert!(
+            admitted > 2 * kept.len(),
+            "{admitted} admitted, evicted unbuilt"
+        );
+        let seqs: Vec<u64> = kept.iter().map(|t| t.seq).collect();
+        assert!(seqs.windows(2).all(|w| w[0] < w[1]), "built in seq order");
     }
 
     #[test]

@@ -36,7 +36,6 @@ pub struct TraceSpan {
 
 impl TraceSpan {
     /// Creates a leaf span.
-    // audit:allow(hot-path-allocation): spans are built only for admitted traces, and `Vec::new` does not allocate
     pub fn new(name: impl Into<String>, start: SimTime, duration: SimDuration) -> TraceSpan {
         TraceSpan {
             name: name.into(),
@@ -82,11 +81,11 @@ impl TraceSpan {
     }
 
     /// Visits every span depth-first (pre-order) with its nesting depth.
-    pub fn walk(&self, f: &mut impl FnMut(&TraceSpan, usize)) {
+    pub fn walk<'a>(&'a self, f: &mut impl FnMut(&'a TraceSpan, usize)) {
         self.walk_at(0, f);
     }
 
-    fn walk_at(&self, depth: usize, f: &mut impl FnMut(&TraceSpan, usize)) {
+    fn walk_at<'a>(&'a self, depth: usize, f: &mut impl FnMut(&'a TraceSpan, usize)) {
         f(self, depth);
         for c in &self.children {
             c.walk_at(depth + 1, f);
@@ -100,7 +99,6 @@ impl TraceSpan {
     /// # Errors
     ///
     /// Returns a description of the first violated invariant.
-    // audit:allow(hot-path-allocation): messages are formatted only for a malformed tree; the platforms validate in `debug_assert`s
     pub fn validate(&self) -> Result<(), String> {
         let mut prev_start: Option<SimTime> = None;
         for c in &self.children {

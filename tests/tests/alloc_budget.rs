@@ -1,7 +1,8 @@
 //! The replays allocate nothing per fleet invocation and a small constant
 //! per cluster chain. A counting global allocator measures each replay at
 //! two sizes at one worker; the difference cancels set-up, deployment and
-//! metric registration, which do not grow with the replay.
+//! metric registration, which do not grow with the replay. Sampled tracing
+//! costs a constant per trace it keeps, over the same replay without it.
 //!
 //! This file holds a single test, so the allocator counts its replays
 //! alone.
@@ -13,6 +14,7 @@ use sebs::experiments::{run_cluster, run_fleet, ClusterSweepConfig, FleetConfig}
 use sebs::SuiteConfig;
 use sebs_platform::ProviderKind;
 use sebs_sim::SimDuration;
+use sebs_trace::SamplerSpec;
 
 /// Counts every allocation, zeroed allocation and reallocation.
 struct Counting;
@@ -69,6 +71,24 @@ fn fleet_allocations_per_invocation(config: &SuiteConfig) -> f64 {
     (large_allocs - small_allocs) / (large - small)
 }
 
+/// Allocations per kept trace that `SamplerSpec::fleet_default()` adds
+/// to a 25,000-invocation replay of a 200-function fleet.
+fn sampled_allocations_per_kept_trace(config: &SuiteConfig) -> f64 {
+    let mut fleet = FleetConfig::new(ProviderKind::Aws);
+    fleet.functions = 200;
+    fleet.target_invocations = 25_000;
+    let model = fleet.synthetic_model(config.seed);
+    let (plain, plain_allocs) = counted(|| run_fleet(config, &fleet, &model));
+    let sampled_config = config
+        .clone()
+        .with_trace_sampling(SamplerSpec::fleet_default());
+    let (sampled, sampled_allocs) = counted(|| run_fleet(&sampled_config, &fleet, &model));
+    assert_eq!(plain.invocations(), sampled.invocations());
+    let kept = sampled.traces.len() as f64;
+    assert!(kept > 1_000.0, "{kept} kept traces");
+    (sampled_allocs - plain_allocs) / kept
+}
+
 /// Chains, attempts and allocations of the default sweep's nine
 /// scheduler × keep-alive cells at one host-fault rate, with the trace
 /// and the horizon both `scale` times the default, so the arrival rate
@@ -111,6 +131,16 @@ fn replays_stay_within_their_allocation_budgets() {
             "fleet with {label}: {per:.4} allocations per invocation"
         );
     }
+
+    // A kept trace's span tree is built once, at the drain: its names,
+    // args and child lists, about 38 allocations in all with the
+    // sampler's maps. A trace the sampler drops or evicts is never built
+    // (building every admitted trace's tree cost 158 per kept trace).
+    let per_kept = sampled_allocations_per_kept_trace(&config);
+    assert!(
+        per_kept < 45.0,
+        "sampled tracing: {per_kept:.1} allocations per kept trace"
+    );
 
     // A chain keeps two vectors, its attempts and their start offsets; a
     // retry adds its wait and, after a host crash, the failure message.
