@@ -5,7 +5,7 @@
 use sebs_platform::platform::DeployError;
 use sebs_platform::{
     Attempt, AttemptChain, AttemptKind, ChainTimeline, FunctionConfig, FunctionErrorKind,
-    FunctionId, InvocationBill, InvocationOutcome, InvocationRecord, PoolObservation, ProviderKind,
+    FunctionId, InvocationOutcome, InvocationRecord, PoolObservation, ProviderKind,
     ProviderProfile, RetryDriver, StartKind,
 };
 use sebs_resilience::{FaultPlan, RetryPolicy};
@@ -474,11 +474,11 @@ impl ClusterPlatform {
         }
         if !any_alive {
             self.stats.unavailable += 1;
-            return self.rejected(id, InvocationOutcome::ServiceUnavailable);
+            return self.rejected(id, payload, InvocationOutcome::ServiceUnavailable);
         }
         if self.slate.is_empty() {
             self.stats.shed += 1;
-            return self.rejected(id, InvocationOutcome::Throttled);
+            return self.rejected(id, payload, InvocationOutcome::Throttled);
         }
 
         // The scheduler only runs — and may only draw — on a real choice.
@@ -506,24 +506,29 @@ impl ClusterPlatform {
 
         // Crash-interrupt: the schedule is known up front, so an
         // invocation spanning its host's next crash dies at the crash
-        // instant — pools evicted, bill voided, retryable error out.
+        // instant — pools evicted, nothing billed or answered, retryable.
         let end = dispatch + record.client_time;
         let interrupting = self.crash_events[self.next_crash..]
             .iter()
             .find(|e| e.host == picked && e.at <= end)
             .copied();
         if let Some(event) = interrupting {
-            record.outcome = InvocationOutcome::FunctionError {
+            let outcome = InvocationOutcome::FunctionError {
                 kind: FunctionErrorKind::HostCrash,
                 message: format!("host {picked} crashed mid-invocation"),
             };
-            record.client_time = if event.at > dispatch {
-                event.at - dispatch
-            } else {
-                SimDuration::ZERO
-            };
-            record.bill = InvocationBill::default();
-            record.t_recv_client = (dispatch + record.client_time).as_secs_f64();
+            let mut cut = InvocationRecord::unanswered(
+                id,
+                outcome,
+                dispatch,
+                event.at.saturating_duration_since(dispatch),
+                record.configured_memory_mb,
+                record.payload_bytes,
+                record.concurrency,
+            );
+            cut.start = record.start;
+            cut.container = record.container;
+            record = cut;
             host.count_crash_failure();
             self.stats.crash_failures += 1;
         } else {
@@ -539,29 +544,19 @@ impl ClusterPlatform {
     fn rejected(
         &self,
         id: FunctionId,
+        payload: &Payload,
         outcome: InvocationOutcome,
     ) -> (InvocationRecord, Option<u32>, SimDuration) {
-        let record = InvocationRecord {
-            function: id,
-            start: StartKind::Warm,
+        let memory = self.functions.get(id.0 as usize).map_or(0, |f| f.memory_mb);
+        let record = InvocationRecord::unanswered(
+            id,
             outcome,
-            submitted_at: self.now,
-            benchmark_time: SimDuration::ZERO,
-            provider_time: SimDuration::ZERO,
-            client_time: SimDuration::ZERO,
-            instructions: 0,
-            io_time: SimDuration::ZERO,
-            used_memory_mb: 0,
-            configured_memory_mb: self.functions.get(id.0 as usize).map_or(0, |f| f.memory_mb),
-            payload_bytes: 0,
-            response_bytes: 0,
-            container: None,
-            concurrency: 1,
-            bill: InvocationBill::default(),
-            t_send_client: self.now.as_secs_f64(),
-            t_start_server: 0.0,
-            t_recv_client: self.now.as_secs_f64(),
-        };
+            self.now,
+            SimDuration::ZERO,
+            memory,
+            payload.size_bytes(),
+            1,
+        );
         (record, None, SimDuration::ZERO)
     }
 

@@ -219,6 +219,42 @@ pub struct InvocationRecord {
 }
 
 impl InvocationRecord {
+    /// The record of an attempt that got no response: rejected before a
+    /// sandbox was acquired, shed, or cut off by a host crash. Nothing is
+    /// billed, the benchmark and provider times are zero, and the client
+    /// waited `client_time` from `submitted_at`.
+    pub fn unanswered(
+        function: FunctionId,
+        outcome: InvocationOutcome,
+        submitted_at: SimTime,
+        client_time: SimDuration,
+        configured_memory_mb: u32,
+        payload_bytes: u64,
+        concurrency: u32,
+    ) -> InvocationRecord {
+        InvocationRecord {
+            function,
+            start: StartKind::Warm,
+            outcome,
+            submitted_at,
+            benchmark_time: SimDuration::ZERO,
+            provider_time: SimDuration::ZERO,
+            client_time,
+            instructions: 0,
+            io_time: SimDuration::ZERO,
+            used_memory_mb: 0,
+            configured_memory_mb,
+            payload_bytes,
+            response_bytes: 0,
+            container: None,
+            concurrency,
+            bill: InvocationBill::default(),
+            t_send_client: submitted_at.as_secs_f64(),
+            t_start_server: 0.0,
+            t_recv_client: (submitted_at + client_time).as_secs_f64(),
+        }
+    }
+
     /// The invocation overhead the paper estimates in Figure 6: time from
     /// client send to function start, computed from the (drift-corrected)
     /// timestamps. `offset` is the estimated server-minus-client clock
@@ -335,6 +371,29 @@ mod tests {
         assert!(r.benchmark_time <= r.provider_time);
         assert!(r.provider_time <= r.client_time);
         assert!((r.client_secs() - 0.2).abs() < 1e-12);
+    }
+
+    #[test]
+    fn an_unanswered_attempt_bills_nothing_and_keeps_time_order() {
+        let r = InvocationRecord::unanswered(
+            FunctionId(3),
+            InvocationOutcome::Throttled,
+            SimTime::from_secs(2),
+            SimDuration::from_millis(40),
+            256,
+            1024,
+            4,
+        );
+        assert!(r.benchmark_time <= r.provider_time && r.provider_time <= r.client_time);
+        assert_eq!(
+            (r.response_bytes, r.container, r.bill.total_usd()),
+            (0, None, 0.0)
+        );
+        assert_eq!((r.t_send_client, r.t_recv_client), (2.0, 2.04));
+        assert_eq!(
+            (r.configured_memory_mb, r.payload_bytes, r.concurrency),
+            (256, 1024, 4)
+        );
     }
 
     #[test]

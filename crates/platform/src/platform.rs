@@ -1,34 +1,30 @@
 //! The simulated FaaS platform: deployment, triggers, scheduling,
 //! execution, failures and billing in one place.
 
-use std::borrow::Cow;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use sebs_cloud::DriftingClock;
-use sebs_resilience::{FaultInjector, FaultPlan, FaultyStore, InjectionCounts, RetryPolicy};
+use sebs_resilience::{FaultInjector, FaultPlan, InjectionCounts, RetryPolicy};
 use sebs_sim::rng::{Rng, StreamRng};
-use sebs_sim::{Phase, PhaseProfiler, SimDuration, SimRng, SimTime};
+use sebs_sim::{PhaseProfiler, SimDuration, SimRng, SimTime};
 use sebs_storage::{ObjectStorage, SimObjectStore};
 use sebs_telemetry::{CounterId, GaugeId, HistogramId, MetricsChunk, MetricsHub};
 use sebs_trace::{InvocationTrace, SamplerSpec, TraceCollector};
-use sebs_workloads::{InvocationCtx, Payload, Workload, WorkloadError};
+use sebs_workloads::{Payload, Workload};
 
-use crate::billing::InvocationBill;
 use crate::chain::{Attempt, AttemptKind, RetryDriver};
-use crate::container::ContainerId;
 use crate::function::{FunctionConfig, FunctionId};
-use crate::invocation::{
-    AttemptChain, FunctionErrorKind, InvocationOutcome, InvocationRecord, StartKind,
-};
+use crate::invocation::{AttemptChain, InvocationOutcome, InvocationRecord, StartKind};
 use crate::pool::{ContainerPool, PoolObservation};
 use crate::provider::ProviderProfile;
 use crate::trigger::TriggerKind;
 
+mod invoke;
 mod spans;
 
-use spans::{KeptTrace, SpanParts};
+use spans::KeptTrace;
 
 /// Errors raised at deployment time.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -211,53 +207,6 @@ impl PoolSeries {
                 "sebs_pool_evictions_total",
             ]
             .map(|name| hub.counter(name, &labels)),
-        }
-    }
-}
-
-/// The `PlatformLimits` scalars `invoke_one` reads, copied up front so the
-/// hot path holds no borrow of `self.profile` while mutating RNG streams —
-/// and never clones the full limits struct per invocation.
-#[derive(Clone, Copy)]
-struct LimitScalars {
-    timeout: SimDuration,
-    concurrency: u32,
-    payload_bytes: u64,
-}
-
-impl LimitScalars {
-    fn of(l: &crate::provider::PlatformLimits) -> LimitScalars {
-        LimitScalars {
-            timeout: l.timeout,
-            concurrency: l.concurrency,
-            payload_bytes: l.payload_bytes,
-        }
-    }
-}
-
-/// Same idea for `Quirks`: the per-invocation checks read only scalars, so
-/// copying them avoids cloning the embedded penalty distribution.
-#[derive(Clone, Copy)]
-struct QuirkScalars {
-    spurious_cold_start: f64,
-    deterministic_warm_reuse: bool,
-    availability_error_rate: f64,
-    availability_threshold: u32,
-    unavailable_penalty: SimDuration,
-    strict_oom: bool,
-    oom_slack_factor: f64,
-}
-
-impl QuirkScalars {
-    fn of(q: &crate::provider::Quirks) -> QuirkScalars {
-        QuirkScalars {
-            spurious_cold_start: q.spurious_cold_start,
-            deterministic_warm_reuse: q.deterministic_warm_reuse,
-            availability_error_rate: q.availability_error_rate,
-            availability_threshold: q.availability_threshold,
-            unavailable_penalty: q.unavailable_penalty,
-            strict_oom: q.strict_oom,
-            oom_slack_factor: q.oom_slack_factor,
         }
     }
 }
@@ -565,16 +514,11 @@ impl FaasPlatform {
 
     /// Records the per-invocation event metrics for one completed (or
     /// rejected) invocation.
-    fn record_invocation_metrics(
-        &mut self,
-        id: FunctionId,
-        record: &InvocationRecord,
-        spurious: bool,
-    ) {
+    fn record_invocation_metrics(&mut self, record: &InvocationRecord, spurious: bool) {
         let Some(PlatformMetrics { hub, functions, .. }) = self.metrics.as_mut() else {
             return;
         };
-        let series = &functions[id.0 as usize];
+        let series = &functions[record.function.0 as usize];
         hub.add(series.invocations[record.outcome.ordinal()], 1.0);
         if record.container.is_none() {
             // Rejected before a sandbox was acquired (payload limit,
@@ -875,342 +819,6 @@ impl FaasPlatform {
         }
         records
     }
-
-    /// Runs one request of a burst of `concurrency`. Returns its record and,
-    /// when it acquired a container, the container with the instant the
-    /// caller must release it at.
-    #[allow(clippy::too_many_lines)]
-    fn invoke_one(
-        &mut self,
-        id: FunctionId,
-        workload: &dyn Workload,
-        payload: &Payload,
-        index: u32,
-        concurrency: u32,
-        trigger: TriggerKind,
-    ) -> (InvocationRecord, Option<(ContainerId, SimTime)>) {
-        // Share the deployment record and copy the scalar limits/quirks the
-        // hot path reads, instead of deep-cloning config strings and
-        // distribution tables on every invocation.
-        let deployed = Rc::clone(&self.functions[id.0 as usize]);
-        let memory = deployed.effective_memory_mb;
-        let language = deployed.config.language;
-        let limits = LimitScalars::of(&self.profile.limits);
-        let quirks = QuirkScalars::of(&self.profile.quirks);
-
-        let rtt = if trigger.crosses_wan() {
-            self.profile.client_rtt_ms.sample_millis(&mut self.rng_net)
-        } else {
-            SimDuration::ZERO
-        };
-        let trigger_overhead = self.profile.trigger.overhead(&mut self.rng_net, trigger);
-        let req_transfer = if trigger.crosses_wan() {
-            SimDuration::from_secs_f64(payload.size_bytes() as f64 / self.client_bandwidth_bps)
-        } else {
-            SimDuration::ZERO
-        };
-
-        let mut record = InvocationRecord {
-            function: id,
-            start: StartKind::Warm,
-            outcome: InvocationOutcome::Success,
-            submitted_at: self.now,
-            benchmark_time: SimDuration::ZERO,
-            provider_time: SimDuration::ZERO,
-            client_time: rtt,
-            instructions: 0,
-            io_time: SimDuration::ZERO,
-            used_memory_mb: 0,
-            configured_memory_mb: memory,
-            payload_bytes: payload.size_bytes(),
-            response_bytes: 0,
-            container: None,
-            concurrency,
-            bill: InvocationBill::default(),
-            t_send_client: self.now.as_secs_f64(),
-            t_start_server: 0.0,
-            t_recv_client: 0.0,
-        };
-
-        // 1. Trigger-level validation.
-        if payload.size_bytes() > limits.payload_bytes {
-            record.outcome = InvocationOutcome::PayloadTooLarge {
-                bytes: payload.size_bytes(),
-                limit: limits.payload_bytes,
-            };
-            record.t_recv_client = (self.now + rtt).as_secs_f64();
-            self.observe_rejection(&deployed, &record);
-            return (record, None);
-        }
-
-        // 2. Concurrency limit.
-        if index >= limits.concurrency {
-            record.outcome = InvocationOutcome::Throttled;
-            record.client_time = rtt + req_transfer;
-            record.t_recv_client = (self.now + record.client_time).as_secs_f64();
-            self.observe_rejection(&deployed, &record);
-            return (record, None);
-        }
-
-        // 3. Injected outage windows, then availability under heavy
-        // concurrency (§6.2 Q3). The short-circuit keeps the historic
-        // `rng_failure` draw sequence intact whenever no outage fires.
-        let outage = self
-            .faults
-            .as_mut()
-            .is_some_and(|f| f.sample_outage(self.now));
-        // audit:allow(failure-probability): the paper's §6.2 Q3 availability
-        // model — rate, threshold and penalty are provider Quirks, not an
-        // ad-hoc fault source.
-        if outage
-            || (concurrency > quirks.availability_threshold
-                && self.rng_failure.gen::<f64>() < quirks.availability_error_rate)
-        {
-            record.outcome = InvocationOutcome::ServiceUnavailable;
-            record.client_time = rtt + req_transfer + quirks.unavailable_penalty;
-            record.t_recv_client = (self.now + record.client_time).as_secs_f64();
-            self.observe_rejection(&deployed, &record);
-            return (record, None);
-        }
-
-        // 4. Sandbox acquisition. Cold-start storms raise the spurious-cold
-        // probability inside their windows (a pure interval lookup) and
-        // force the probabilistic acquisition path even on providers with
-        // deterministic warm reuse; outside every window the arguments are
-        // exactly the historic ones.
-        let storm_boost = self
-            .faults
-            .as_ref()
-            .map_or(0.0, |f| f.storm_boost(self.now));
-        let pool = &mut self.pools[deployed.pool];
-        let acquired = pool.acquire(
-            self.now,
-            &mut self.rng_pool,
-            quirks.spurious_cold_start.max(storm_boost),
-            quirks.deterministic_warm_reuse && storm_boost == 0.0,
-        );
-        record.container = Some(acquired.id());
-        // A cold acquisition while idle containers survive means the
-        // provider ignored a warm candidate — GCP's unexpected cold starts
-        // (§6.1); a regular cold start only happens when the pool is dry.
-        let spurious = acquired.is_cold() && pool.idle_count() > 0;
-        let cpu_share = self.profile.cpu.share(memory);
-        let cold_breakdown = if acquired.is_cold() {
-            record.start = StartKind::Cold;
-            Some(self.profile.cold_start.sample_breakdown(
-                &mut self.rng_cold,
-                language,
-                cpu_share,
-                memory,
-                deployed.config.code_package_bytes,
-                deployed.config.init_work,
-                self.profile.ops_per_sec_full_cpu,
-            ))
-        } else {
-            None
-        };
-        let cold_init = cold_breakdown
-            .as_ref()
-            .map_or(SimDuration::ZERO, |b| b.total());
-        if let Some(p) = self.profiler.as_mut() {
-            p.record(Phase::PoolAcquire, cold_init);
-        }
-
-        // 5. Execute the function body. Warm containers keep workload
-        // caches (e.g. the loaded model) alive between invocations.
-        let exec_payload = with_cache_param(payload, !acquired.is_cold());
-        let mut exec_rng = self.rng_exec.clone();
-        self.rng_exec.gen::<u64>(); // decorrelate subsequent invocations
-        let tracing = self.traces.is_enabled();
-        let mut run_body = |storage: &mut dyn ObjectStorage| {
-            let mut ctx = InvocationCtx::new(storage, &mut exec_rng);
-            if tracing {
-                ctx.enable_io_recording();
-            }
-            let result = workload.execute(&exec_payload, &mut ctx);
-            (
-                result,
-                ctx.counters(),
-                ctx.io_time(),
-                ctx.peak_alloc_bytes(),
-                ctx.into_io_events(),
-            )
-        };
-        // Storage faults interpose only when the plan actually has any, so
-        // the fault-free data path is byte-for-byte the historic one.
-        let (result, counters, raw_io, peak_alloc, io_events) = match self
-            .faults
-            .as_mut()
-            .filter(|f| f.plan().has_storage_faults())
-        {
-            Some(injector) => run_body(&mut FaultyStore::new(&mut self.storage, injector)),
-            None => run_body(&mut self.storage),
-        };
-
-        // 6. Convert counters into time under this allocation.
-        let compute_rate = self.profile.compute_rate(memory, language);
-        let compute_time = SimDuration::from_secs_f64(counters.instructions as f64 / compute_rate);
-        let io_scale = self.profile.io_scale(memory);
-        let mut contention = 1.0 + 0.05 * ((concurrency.saturating_sub(1)).min(16) as f64);
-        if self.host_contention != 1.0 {
-            contention *= self.host_contention;
-        }
-        let io_time = raw_io.mul_f64(contention / io_scale);
-        record.instructions = counters.instructions;
-        record.io_time = io_time;
-        record.benchmark_time = compute_time + io_time;
-        if let Some(p) = self.profiler.as_mut() {
-            p.record_events(Phase::StorageOp, counters.storage_requests, io_time);
-        }
-
-        // 7. Memory accounting: runtime baseline + workload peak.
-        let runtime_base_mb = match language {
-            sebs_workloads::Language::Python => 36.0 + 4.0 * self.rng_memory.gen::<f64>(),
-            sebs_workloads::Language::NodeJs => 26.0 + 4.0 * self.rng_memory.gen::<f64>(),
-        };
-        let used_mb = (runtime_base_mb + peak_alloc as f64 / (1024.0 * 1024.0)).ceil() as u32;
-        record.used_memory_mb = used_mb;
-
-        // 8. Failure checks.
-        let oom_limit = if quirks.strict_oom {
-            memory as f64
-        } else {
-            memory as f64 * quirks.oom_slack_factor
-        };
-        let func_timeout = deployed
-            .config
-            .timeout
-            .unwrap_or(limits.timeout)
-            .min(limits.timeout);
-        let sandbox_overhead = self
-            .profile
-            .runtime_overhead_ms
-            .sample_millis(&mut self.rng_net);
-        let penalty = self
-            .profile
-            .quirks
-            .concurrency_penalty_ms_per_peer
-            .sample_millis(&mut self.rng_net)
-            .mul_f64(concurrency.saturating_sub(1) as f64);
-
-        // Injected execution faults: the workload ran to completion (so
-        // every downstream RNG stream drew exactly as usual), but the
-        // sandbox crashed or the payload arrived corrupted — the attempt
-        // is billed like any function error.
-        let injected = match self.faults.as_mut() {
-            Some(f) => {
-                let corrupt = f.sample_corrupt_payload();
-                let crash = f.sample_sandbox_crash();
-                if corrupt {
-                    Some(FunctionErrorKind::CorruptPayload)
-                } else if crash {
-                    Some(FunctionErrorKind::SandboxCrash)
-                } else {
-                    None
-                }
-            }
-            None => None,
-        };
-        let outcome = match (injected, &result) {
-            (Some(FunctionErrorKind::CorruptPayload), _) => InvocationOutcome::FunctionError {
-                kind: FunctionErrorKind::CorruptPayload,
-                // audit:allow(hot-path-allocation): failure-path message, allocates only when an invocation fails
-                message: "request payload corrupted in flight".to_string(),
-            },
-            (Some(_), _) => InvocationOutcome::FunctionError {
-                kind: FunctionErrorKind::SandboxCrash,
-                // audit:allow(hot-path-allocation): failure-path message, allocates only when an invocation fails
-                message: "sandbox crashed mid-execution".to_string(),
-            },
-            (None, Err(e)) => InvocationOutcome::FunctionError {
-                kind: classify_workload_error(e),
-                // audit:allow(hot-path-allocation): failure-path message, allocates only when an invocation fails
-                message: e.to_string(),
-            },
-            (None, Ok(_)) if used_mb as f64 > oom_limit => InvocationOutcome::OutOfMemory {
-                used_mb,
-                limit_mb: memory,
-            },
-            (None, Ok(_)) if record.benchmark_time > func_timeout => InvocationOutcome::Timeout,
-            (None, Ok(_)) => InvocationOutcome::Success,
-        };
-        let response_bytes = match &result {
-            Ok(resp) if outcome.is_success() => resp.size_bytes(),
-            _ => 0,
-        };
-        record.response_bytes = response_bytes;
-
-        // Timeouts are cut off at the limit; OOM kills happen mid-run.
-        if matches!(outcome, InvocationOutcome::Timeout) {
-            record.benchmark_time = func_timeout;
-        }
-
-        record.provider_time = record.benchmark_time + sandbox_overhead + penalty + cold_init;
-        let resp_transfer = if trigger.crosses_wan() {
-            SimDuration::from_secs_f64(response_bytes as f64 / self.client_bandwidth_bps)
-        } else {
-            SimDuration::ZERO
-        };
-        record.client_time =
-            rtt + trigger_overhead + req_transfer + resp_transfer + record.provider_time;
-
-        // 9. Billing: the execution phase is billed; sandbox provisioning
-        // and runtime boot are not.
-        let billed = record.benchmark_time + sandbox_overhead + penalty;
-        record.bill = self.profile.billing.bill_via(
-            billed,
-            memory,
-            used_mb,
-            response_bytes,
-            trigger.uses_api_gateway(),
-        );
-        if let Some(p) = self.profiler.as_mut() {
-            p.record(Phase::Billing, record.bill.billed_duration);
-        }
-
-        // 10. Timestamps for the clock-sync protocol.
-        let start_delay =
-            rtt / 2 + trigger_overhead + req_transfer + cold_init + sandbox_overhead / 2;
-        record.t_start_server = self.server_clock.read(self.now + start_delay);
-        record.t_recv_client = (self.now + record.client_time).as_secs_f64();
-        record.outcome = outcome;
-
-        let name = &deployed.config.name;
-        let failed = !record.outcome.is_success();
-        if let Some(pending) = self.traces.admit(name, record.client_time, failed) {
-            let parts = SpanParts {
-                rtt,
-                trigger_overhead,
-                req_transfer,
-                cold_breakdown,
-                sandbox_overhead,
-                penalty,
-                contention,
-                io_scale,
-                io_events,
-                bandwidth: self.storage.bandwidth(),
-            };
-            let kept = KeptTrace::executed(deployed, self.profile.kind, &record, parts);
-            self.traces.keep(pending, kept);
-        }
-
-        self.record_invocation_metrics(id, &record, spurious);
-
-        let release_at = self.now + record.provider_time;
-        (record, Some((acquired.id(), release_at)))
-    }
-
-    /// Observes an invocation rejected before a sandbox was acquired
-    /// (payload limit, throttle, availability error): a root-only failure
-    /// trace plus its metrics.
-    fn observe_rejection(&mut self, deployed: &Rc<Deployed>, record: &InvocationRecord) {
-        let name = &deployed.config.name;
-        if let Some(pending) = self.traces.admit(name, record.client_time, true) {
-            let kept = KeptTrace::rejected(Rc::clone(deployed), self.profile.kind, record);
-            self.traces.keep(pending, kept);
-        }
-        self.record_invocation_metrics(record.function, record, false);
-    }
 }
 
 /// The single box as an [`Attempt`] target: every attempt is one plain
@@ -1244,35 +852,11 @@ impl Attempt for BoxInvoker<'_> {
     }
 }
 
-/// Maps a workload failure onto its structured, retry-relevant class.
-fn classify_workload_error(e: &WorkloadError) -> FunctionErrorKind {
-    match e {
-        WorkloadError::Storage(_) => FunctionErrorKind::Storage,
-        WorkloadError::TransientStorage(_) => FunctionErrorKind::TransientStorage,
-        WorkloadError::BadPayload(_) => FunctionErrorKind::BadRequest,
-    }
-}
-
-/// Overrides the `model-cached` parameter so warm containers keep loaded
-/// artifacts (the paper's image-recognition keeps the model in the language
-/// worker between invocations). Payloads without the parameter — the vast
-/// majority — are borrowed as-is, so the rewrite costs nothing.
-// audit:allow(hot-path-allocation): clones only model-caching payloads, which carry the parameter
-fn with_cache_param(payload: &Payload, warm: bool) -> Cow<'_, Payload> {
-    if !payload.params.iter().any(|(k, _)| k == "model-cached") {
-        return Cow::Borrowed(payload);
-    }
-    let mut p = payload.clone();
-    let value = if warm { "true" } else { "false" };
-    if let Some(slot) = p.params.iter_mut().find(|(k, _)| k == "model-cached") {
-        slot.1 = value.to_string();
-    }
-    Cow::Owned(p)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::invocation::FunctionErrorKind;
+    use sebs_sim::Phase;
     use sebs_telemetry::{SeriesKey, DEFAULT_SAMPLE_INTERVAL};
     use sebs_workloads::templating::DynamicHtml;
     use sebs_workloads::uploader::Uploader;

@@ -13,50 +13,21 @@ use sebs_storage::{Bandwidth, StorageOp};
 use sebs_trace::{InvocationTrace, TraceRecord, TraceSpan};
 use sebs_workloads::{IoEvent, IoKind};
 
+use super::invoke::Served;
 use super::Deployed;
-use crate::billing::InvocationBill;
 use crate::chain::ChainTimeline;
-use crate::coldstart::ColdStartBreakdown;
 use crate::invocation::{AttemptChain, InvocationOutcome, InvocationRecord, StartKind};
 use crate::provider::ProviderKind;
 
 /// What the box keeps for an admitted trace until its collector drains.
 pub(super) enum KeptTrace {
-    /// An invocation that acquired a sandbox and ran.
-    Executed(Executed),
-    /// A request rejected before a sandbox was acquired: a root-only tree.
-    Rejected(Root),
+    /// One invocation.
+    Invocation(Invocation),
     /// A chain of more than one attempt, laid out at admission.
     Chain(InvocationTrace),
 }
 
 impl KeptTrace {
-    /// The record of an executed invocation.
-    pub(super) fn executed(
-        deployed: Rc<Deployed>,
-        provider: ProviderKind,
-        record: &InvocationRecord,
-        parts: SpanParts,
-    ) -> KeptTrace {
-        KeptTrace::Executed(Executed {
-            root: Root::of(deployed, provider, record),
-            start: record.start,
-            timed_out: matches!(record.outcome, InvocationOutcome::Timeout),
-            benchmark_time: record.benchmark_time,
-            bill: record.bill,
-            parts,
-        })
-    }
-
-    /// The record of a rejected request.
-    pub(super) fn rejected(
-        deployed: Rc<Deployed>,
-        provider: ProviderKind,
-        record: &InvocationRecord,
-    ) -> KeptTrace {
-        KeptTrace::Rejected(Root::of(deployed, provider, record))
-    }
-
     /// The trace of attempt chain `seq`, started at `start`, from the
     /// driver's timeline.
     pub(super) fn chain(
@@ -81,127 +52,80 @@ impl KeptTrace {
 impl TraceRecord for KeptTrace {
     fn build(self, seq: u64) -> InvocationTrace {
         match self {
-            KeptTrace::Executed(executed) => {
-                let root = executed.span();
-                executed.root.trace(seq, root)
-            }
-            KeptTrace::Rejected(rejected) => {
-                let root = rejected.span(None);
-                rejected.trace(seq, root)
-            }
+            KeptTrace::Invocation(invocation) => invocation.trace(seq),
             KeptTrace::Chain(trace) => trace.build(seq),
         }
     }
 }
 
-/// The facts of the root `invocation` span, shared by executed and
-/// rejected invocations.
-pub(super) struct Root {
-    deployed: Rc<Deployed>,
-    provider: ProviderKind,
-    outcome: &'static str,
-    submitted_at: SimTime,
-    client_time: SimDuration,
-    memory_mb: u32,
-    concurrency: u32,
+/// An invocation's record, and the phase results of a request that got a
+/// sandbox; a request rejected before one has none and gets a root-only
+/// tree.
+pub(super) struct Invocation {
+    pub(super) deployed: Rc<Deployed>,
+    pub(super) provider: ProviderKind,
+    pub(super) record: InvocationRecord,
+    pub(super) served: Option<Served>,
 }
 
-impl Root {
-    fn of(deployed: Rc<Deployed>, provider: ProviderKind, record: &InvocationRecord) -> Root {
-        Root {
-            deployed,
-            provider,
-            outcome: record.outcome.label(),
-            submitted_at: record.submitted_at,
-            client_time: record.client_time,
-            memory_mb: record.configured_memory_mb,
-            concurrency: record.concurrency,
+impl Invocation {
+    fn trace(&self, seq: u64) -> InvocationTrace {
+        InvocationTrace {
+            provider: self.provider.to_string(),
+            benchmark: self.deployed.config.name.clone(),
+            memory_mb: self.record.configured_memory_mb,
+            cell: None,
+            seq,
+            root: self.span(),
         }
     }
 
-    /// The root span with its args; `start` is the start kind of an
-    /// executed invocation.
-    fn span(&self, start: Option<&'static str>) -> TraceSpan {
-        let mut root = TraceSpan::new("invocation", self.submitted_at, self.client_time)
+    /// The root span with its args; `start` is the start kind of a served
+    /// request.
+    fn root(&self, start: Option<&'static str>) -> TraceSpan {
+        let record = &self.record;
+        let mut root = TraceSpan::new("invocation", record.submitted_at, record.client_time)
             .with_arg("benchmark", self.deployed.config.name.as_str())
             .with_arg("provider", self.provider.to_string());
         if let Some(start) = start {
             root = root.with_arg("start", start);
         }
-        root.with_arg("outcome", self.outcome)
-            .with_arg("memory_mb", self.memory_mb.to_string())
-            .with_arg("concurrency", self.concurrency.to_string())
+        root.with_arg("outcome", record.outcome.label())
+            .with_arg("memory_mb", record.configured_memory_mb.to_string())
+            .with_arg("concurrency", record.concurrency.to_string())
     }
 
-    fn trace(&self, seq: u64, root: TraceSpan) -> InvocationTrace {
-        InvocationTrace {
-            provider: self.provider.to_string(),
-            benchmark: self.deployed.config.name.clone(),
-            memory_mb: self.memory_mb,
-            cell: None,
-            seq,
-            root,
-        }
-    }
-}
-
-/// The intermediate quantities of `invoke_one` that the span layout needs,
-/// with the invocation's recorded I/O and the store's bandwidth at the
-/// time, so the layout depends on no platform state.
-pub(super) struct SpanParts {
-    pub(super) rtt: SimDuration,
-    pub(super) trigger_overhead: SimDuration,
-    pub(super) req_transfer: SimDuration,
-    pub(super) cold_breakdown: Option<ColdStartBreakdown>,
-    pub(super) sandbox_overhead: SimDuration,
-    pub(super) penalty: SimDuration,
-    pub(super) contention: f64,
-    pub(super) io_scale: f64,
-    pub(super) io_events: Vec<IoEvent>,
-    pub(super) bandwidth: Bandwidth,
-}
-
-/// An executed invocation's record.
-pub(super) struct Executed {
-    root: Root,
-    start: StartKind,
-    timed_out: bool,
-    benchmark_time: SimDuration,
-    bill: InvocationBill,
-    parts: SpanParts,
-}
-
-impl Executed {
-    /// Lays out the full span tree.
+    /// Lays out the span tree: the root alone for a rejected request.
     fn span(&self) -> TraceSpan {
-        let parts = &self.parts;
-        let start_kind = if self.start == StartKind::Cold {
+        let record = &self.record;
+        let Some(served) = &self.served else {
+            return self.root(None);
+        };
+        let (legs, overhead, io) = (&served.legs, served.overhead, &served.io);
+        let start_kind = if record.start == StartKind::Cold {
             "cold"
         } else {
             "warm"
         };
-        let t0 = self.root.submitted_at;
-        let mut root = self.root.span(Some(start_kind));
+        let t0 = record.submitted_at;
+        let mut root = self.root(Some(start_kind));
         let mut cursor = t0;
 
-        let request_leg = parts.rtt / 2 + parts.req_transfer;
+        let request_leg = legs.rtt / 2 + legs.req_transfer;
         root.push_child(TraceSpan::new("network.request", cursor, request_leg));
         cursor += request_leg;
 
         root.push_child(TraceSpan::new(
             "trigger.dispatch",
             cursor,
-            parts.trigger_overhead,
+            legs.trigger_overhead,
         ));
-        cursor += parts.trigger_overhead;
+        cursor += legs.trigger_overhead;
 
-        let cold_init = parts
-            .cold_breakdown
-            .as_ref()
-            .map_or(SimDuration::ZERO, |b| b.total());
+        let cold_init = served.cold.map_or(SimDuration::ZERO, |b| b.total());
         let mut acquire =
             TraceSpan::new("sandbox.acquire", cursor, cold_init).with_arg("start", start_kind);
-        if let Some(bd) = &parts.cold_breakdown {
+        if let Some(bd) = &served.cold {
             let mut at = cursor;
             for (phase, dur) in [
                 ("cold.provisioning", bd.provisioning),
@@ -217,24 +141,23 @@ impl Executed {
         root.push_child(acquire);
         cursor += cold_init;
 
-        let exec_dur = self.benchmark_time + parts.sandbox_overhead + parts.penalty;
+        let exec_dur = record.benchmark_time + overhead;
         let exec_end = cursor + exec_dur;
         let mut exec = TraceSpan::new("execute", cursor, exec_dur);
-        if self.timed_out {
+        if matches!(record.outcome, InvocationOutcome::Timeout) {
             // The run was cut off at the limit, so per-operation sub-spans
             // would spill past the truncated window.
             exec = exec.with_arg("truncated", "true");
         } else {
-            let overhead = parts.sandbox_overhead + parts.penalty;
             let mut at = cursor;
             exec.push_child(TraceSpan::new("runtime.overhead", at, overhead));
             at += overhead;
-            for ev in &parts.io_events {
+            for ev in &io.events {
                 // Per-op durations are scaled like the aggregate io_time;
                 // clamping absorbs sub-nanosecond float rounding.
-                let scaled = ev.duration.mul_f64(parts.contention / parts.io_scale);
+                let scaled = ev.duration.mul_f64(io.contention / io.io_scale);
                 let dur = scaled.min(remaining_until(at, exec_end));
-                exec.push_child(io_span(ev, at, dur, parts.bandwidth));
+                exec.push_child(io_span(ev, at, dur, io.bandwidth));
                 at += dur;
             }
             exec.push_child(TraceSpan::new(
@@ -250,14 +173,14 @@ impl Executed {
             TraceSpan::new("billing.finalize", cursor, SimDuration::ZERO)
                 .with_arg(
                     "billed_ms",
-                    format!("{:.3}", self.bill.billed_duration.as_millis_f64()),
+                    format!("{:.3}", record.bill.billed_duration.as_millis_f64()),
                 )
-                .with_arg("cost_usd", format!("{:.9}", self.bill.total_usd())),
+                .with_arg("cost_usd", format!("{:.9}", record.bill.total_usd())),
         );
         root.push_child(TraceSpan::new(
             "network.response",
             cursor,
-            remaining_until(cursor, t0 + self.root.client_time),
+            remaining_until(cursor, t0 + record.client_time),
         ));
         root
     }

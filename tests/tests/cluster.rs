@@ -346,6 +346,17 @@ fn crash_evicts_warm_pool_and_failover_lands_on_survivors() {
         0.0,
         "a crash-killed attempt bills nothing"
     );
+    assert!(
+        first.benchmark_time <= first.provider_time && first.provider_time <= first.client_time,
+        "the cut attempt keeps the paper's time ordering: benchmark {} ≤ provider {} ≤ client {}",
+        first.benchmark_time,
+        first.provider_time,
+        first.client_time
+    );
+    assert_eq!(
+        first.response_bytes, 0,
+        "a crash-killed attempt delivers no response"
+    );
     assert!(chain.attempts.len() >= 2, "the chain retried");
     assert!(chain.outcome.is_success(), "failover completed the chain");
     let last = chain.attempts.last().expect("non-empty");
