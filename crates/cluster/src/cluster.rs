@@ -15,8 +15,8 @@ use sebs_trace::{InvocationTrace, TraceCollector, TraceSpan};
 use sebs_workloads::{Payload, Workload};
 
 use crate::host::Host;
-use crate::keepalive::{KeepAliveKind, KeepAlivePolicy};
-use crate::scheduler::{HostView, Scheduler, SchedulerKind};
+use crate::keepalive::{HybridHistogram, KeepAliveKind};
+use crate::scheduler::{HostView, SchedulerKind};
 
 /// Shape of the region.
 #[derive(Debug, Clone, PartialEq)]
@@ -125,8 +125,6 @@ pub struct CrashEvent {
 /// Cluster-wide telemetry counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClusterStats {
-    /// Invocations dispatched to some host.
-    pub dispatched: u64,
     /// Arrivals shed because every live host's queue was full.
     pub shed: u64,
     /// Arrivals rejected because no host was alive.
@@ -159,11 +157,12 @@ struct AttemptPlacement {
 pub struct ClusterPlatform {
     config: ClusterConfig,
     hosts: Vec<Host>,
-    scheduler: Box<dyn Scheduler>,
     /// The candidate slate of the current dispatch, kept between
     /// dispatches so building it allocates nothing.
     slate: Vec<HostView>,
-    keepalive: Box<dyn KeepAlivePolicy>,
+    /// The gap histograms of the `hybrid` keep-alive; `None` for every
+    /// other keep-alive, which keeps no state.
+    hybrid: Option<HybridHistogram>,
     functions: Vec<FnMeta>,
     now: SimTime,
     seed: u64,
@@ -205,9 +204,8 @@ impl ClusterPlatform {
             })
             .collect();
         ClusterPlatform {
-            scheduler: config.scheduler.build(),
             slate: Vec::with_capacity(hosts.len()),
-            keepalive: config.keepalive.build(),
+            hybrid: (config.keepalive == KeepAliveKind::Hybrid).then(HybridHistogram::default),
             hosts,
             functions: Vec::new(),
             now: SimTime::ZERO,
@@ -323,7 +321,7 @@ impl ClusterPlatform {
         for host in &mut self.hosts {
             id = host.platform.deploy(config.clone())?;
         }
-        if let Some(policy) = self.keepalive.initial_policy() {
+        if let Some(policy) = self.config.keepalive.initial_policy() {
             for host in &mut self.hosts {
                 host.platform.set_pool_policy(id, policy.clone());
             }
@@ -417,8 +415,11 @@ impl ClusterPlatform {
     /// from prior history, then record the arrival (possibly retuning
     /// every host's pool policy).
     fn arrival_bookkeeping(&mut self, id: FunctionId) -> bool {
-        let prewarm = self.keepalive.wants_prewarm(id.0, self.now);
-        if let Some(policy) = self.keepalive.observe_arrival(id.0, self.now) {
+        let Some(hybrid) = &mut self.hybrid else {
+            return false;
+        };
+        let prewarm = hybrid.wants_prewarm(id.0, self.now);
+        if let Some(policy) = hybrid.observe_arrival(id.0, self.now) {
             self.stats.retunes += 1;
             for host in &mut self.hosts {
                 host.platform.set_pool_policy(id, policy.clone());
@@ -485,7 +486,7 @@ impl ClusterPlatform {
         let picked = if self.slate.len() == 1 {
             self.slate[0].id
         } else {
-            self.scheduler.pick(&self.slate, &mut self.rng_sched)
+            self.config.scheduler.pick(&self.slate, &mut self.rng_sched)
         };
         let idx = picked as usize;
         let queue_wait = self.hosts[idx].queue_wait(at);
@@ -534,7 +535,6 @@ impl ClusterPlatform {
         } else {
             host.push_inflight(end);
             host.count_served(record.start == StartKind::Cold);
-            self.stats.dispatched += 1;
         }
         (record, Some(picked), queue_wait)
     }

@@ -4,88 +4,10 @@
 use sebs_platform::EvictionPolicy;
 use sebs_sim::{Dist, SimDuration, SimTime};
 
-/// A container-retention policy for the whole cluster.
-///
-/// The cluster consults it once per *logical* request (retried attempts
-/// of the same request are not new arrivals): [`wants_prewarm`] first —
-/// using only history from previous arrivals — then
-/// [`observe_arrival`], which records the arrival and may retune the
-/// function's pool eviction policy on every host.
-///
-/// [`wants_prewarm`]: KeepAlivePolicy::wants_prewarm
-/// [`observe_arrival`]: KeepAlivePolicy::observe_arrival
-pub trait KeepAlivePolicy {
-    /// Stable label for exports and sweep axes.
-    fn label(&self) -> String;
-
-    /// The pool eviction policy to install for a newly deployed function,
-    /// or `None` to keep the provider's own model (the baseline: no
-    /// pool-policy calls at all, bit-identical to the single box).
-    fn initial_policy(&self) -> Option<EvictionPolicy>;
-
-    /// Records an arrival of `function` at `now`; returns a new eviction
-    /// policy when the controller retunes this function's keep-alive.
-    fn observe_arrival(&mut self, function: u32, now: SimTime) -> Option<EvictionPolicy>;
-
-    /// Whether a sandbox should be pre-warmed for this arrival (the
-    /// cluster pre-warms on the chosen host just before dispatch, so the
-    /// arrival lands warm — modelling a prewarm that fired earlier).
-    fn wants_prewarm(&self, function: u32, now: SimTime) -> bool;
-}
-
-/// The provider's own eviction model, untouched: deploys make no
-/// pool-policy calls and nothing is ever retuned or pre-warmed.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ProviderBaseline;
-
-impl KeepAlivePolicy for ProviderBaseline {
-    fn label(&self) -> String {
-        "provider".to_string()
-    }
-
-    fn initial_policy(&self) -> Option<EvictionPolicy> {
-        None
-    }
-
-    fn observe_arrival(&mut self, _function: u32, _now: SimTime) -> Option<EvictionPolicy> {
-        None
-    }
-
-    fn wants_prewarm(&self, _function: u32, _now: SimTime) -> bool {
-        false
-    }
-}
-
-/// A fixed idle timeout for every function (the classic 10-minute
-/// keep-alive), jitter-free.
-#[derive(Debug, Clone, Copy)]
-pub struct FixedKeepAlive {
-    /// Idle containers die after this long.
-    pub keep_alive: SimDuration,
-}
-
 fn idle_timeout(timeout: SimDuration) -> EvictionPolicy {
     EvictionPolicy::IdleTimeout {
         timeout,
         jitter_ms: Dist::Constant(0.0),
-    }
-}
-
-impl KeepAlivePolicy for FixedKeepAlive {
-    fn label(&self) -> String {
-        format!("fixed-{}s", self.keep_alive.as_secs_f64().round() as u64)
-    }
-
-    fn initial_policy(&self) -> Option<EvictionPolicy> {
-        Some(idle_timeout(self.keep_alive))
-    }
-
-    fn observe_arrival(&mut self, _function: u32, _now: SimTime) -> Option<EvictionPolicy> {
-        None
-    }
-
-    fn wants_prewarm(&self, _function: u32, _now: SimTime) -> bool {
-        false
     }
 }
 
@@ -160,6 +82,12 @@ fn nearest_rank(sorted: &[u64], q: f64) -> u64 {
 
 /// A Serverless-in-the-Wild style hybrid-histogram controller: each
 /// function's idle-gap distribution drives its keep-alive and prewarm.
+/// The cluster keeps one for the `hybrid` keep-alive and consults it once
+/// per *logical* request (retried attempts of the same request are not
+/// new arrivals): [`wants_prewarm`] first — using only history from
+/// previous arrivals — then [`observe_arrival`], which records the
+/// arrival and may retune the function's pool eviction policy on every
+/// host.
 ///
 /// - **Short-gap regime** (p5 ≤ 2 min): arrivals come fast enough that
 ///   keeping a container resident pays — keep-alive is set to the p99
@@ -175,17 +103,15 @@ fn nearest_rank(sorted: &[u64], q: f64) -> u64 {
 /// arrival therefore under-reports the prewarmed container's memory — a
 /// documented approximation that biases the Pareto frontier slightly in
 /// the policy's favour.
+///
+/// [`wants_prewarm`]: HybridHistogram::wants_prewarm
+/// [`observe_arrival`]: HybridHistogram::observe_arrival
 #[derive(Debug, Clone, Default)]
-pub struct HybridHistogram {
+pub(crate) struct HybridHistogram {
     fns: Vec<FnHistory>,
 }
 
 impl HybridHistogram {
-    /// A fresh controller with no history.
-    pub fn new() -> HybridHistogram {
-        HybridHistogram::default()
-    }
-
     fn history_mut(&mut self, function: u32) -> &mut FnHistory {
         let idx = function as usize;
         if self.fns.len() <= idx {
@@ -193,19 +119,14 @@ impl HybridHistogram {
         }
         &mut self.fns[idx]
     }
-}
 
-impl KeepAlivePolicy for HybridHistogram {
-    fn label(&self) -> String {
-        "hybrid".to_string()
-    }
-
-    fn initial_policy(&self) -> Option<EvictionPolicy> {
-        // Until the histogram fills, run a generous fixed keep-alive.
-        Some(idle_timeout(SimDuration::from_millis(600_000)))
-    }
-
-    fn observe_arrival(&mut self, function: u32, now: SimTime) -> Option<EvictionPolicy> {
+    /// Records an arrival of `function` at `now`; returns a new eviction
+    /// policy when the controller retunes this function's keep-alive.
+    pub(crate) fn observe_arrival(
+        &mut self,
+        function: u32,
+        now: SimTime,
+    ) -> Option<EvictionPolicy> {
         let h = self.history_mut(function);
         if let Some(last) = h.last_arrival {
             let gap = now - last;
@@ -227,7 +148,10 @@ impl KeepAlivePolicy for HybridHistogram {
         Some(idle_timeout(SimDuration::from_millis(target_ms)))
     }
 
-    fn wants_prewarm(&self, function: u32, now: SimTime) -> bool {
+    /// Whether a sandbox should be pre-warmed for this arrival (the
+    /// cluster pre-warms on the chosen host just before dispatch, so the
+    /// arrival lands warm — modelling a prewarm that fired earlier).
+    pub(crate) fn wants_prewarm(&self, function: u32, now: SimTime) -> bool {
         let Some(h) = self.fns.get(function as usize) else {
             return false;
         };
@@ -242,15 +166,18 @@ impl KeepAlivePolicy for HybridHistogram {
     }
 }
 
-/// A parsed keep-alive choice — the second sweep axis of the cluster
-/// experiment.
+/// A container-retention policy for the whole cluster — the second sweep
+/// axis of the cluster experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KeepAliveKind {
-    /// [`ProviderBaseline`].
+    /// The provider's own eviction model, untouched: deploys make no
+    /// pool-policy calls and nothing is ever retuned or pre-warmed.
     Provider,
-    /// [`FixedKeepAlive`] with the given timeout in seconds.
+    /// A fixed, jitter-free idle timeout for every function, in seconds
+    /// (the classic 10-minute keep-alive is `Fixed(600)`).
     Fixed(u64),
-    /// [`HybridHistogram`].
+    /// The hybrid-histogram controller: per-function idle-gap histograms
+    /// drive each function's keep-alive and prewarms.
     Hybrid,
 }
 
@@ -298,14 +225,15 @@ impl KeepAliveKind {
         }
     }
 
-    /// Instantiates the policy.
-    pub fn build(&self) -> Box<dyn KeepAlivePolicy> {
-        match self {
-            KeepAliveKind::Provider => Box::new(ProviderBaseline),
-            KeepAliveKind::Fixed(secs) => Box::new(FixedKeepAlive {
-                keep_alive: SimDuration::from_secs(*secs),
-            }),
-            KeepAliveKind::Hybrid => Box::new(HybridHistogram::new()),
+    /// The pool eviction policy to install for a newly deployed function,
+    /// or `None` to keep the provider's own model (the baseline: no
+    /// pool-policy calls at all, bit-identical to the single box).
+    pub(crate) fn initial_policy(&self) -> Option<EvictionPolicy> {
+        match *self {
+            KeepAliveKind::Provider => None,
+            KeepAliveKind::Fixed(secs) => Some(idle_timeout(SimDuration::from_secs(secs))),
+            // Until the histogram fills, run a generous fixed keep-alive.
+            KeepAliveKind::Hybrid => Some(idle_timeout(SimDuration::from_millis(600_000))),
         }
     }
 }
@@ -319,30 +247,26 @@ mod tests {
     }
 
     #[test]
-    fn baseline_is_inert() {
-        let mut p = ProviderBaseline;
-        assert!(p.initial_policy().is_none());
-        assert!(p.observe_arrival(0, at(10)).is_none());
-        assert!(!p.wants_prewarm(0, at(10)));
-    }
-
-    #[test]
-    fn fixed_installs_once_and_never_retunes() {
-        let mut p = FixedKeepAlive {
-            keep_alive: SimDuration::from_secs(600),
-        };
-        assert_eq!(p.label(), "fixed-600s");
-        assert!(matches!(
-            p.initial_policy(),
-            Some(EvictionPolicy::IdleTimeout { timeout, .. })
-                if timeout == SimDuration::from_secs(600)
-        ));
-        assert!(p.observe_arrival(0, at(10)).is_none());
+    fn initial_policy_keeps_the_provider_model_or_installs_a_timeout() {
+        assert!(KeepAliveKind::Provider.initial_policy().is_none());
+        for (kind, secs) in [
+            (KeepAliveKind::Fixed(300), 300),
+            (KeepAliveKind::Hybrid, 600),
+        ] {
+            assert!(
+                matches!(
+                    kind.initial_policy(),
+                    Some(EvictionPolicy::IdleTimeout { timeout, jitter_ms: Dist::Constant(j) })
+                        if timeout == SimDuration::from_secs(secs) && j == 0.0
+                ),
+                "{kind:?}"
+            );
+        }
     }
 
     #[test]
     fn hybrid_short_gaps_track_p99() {
-        let mut p = HybridHistogram::new();
+        let mut p = HybridHistogram::default();
         // 20 arrivals, 30 s apart: p99 gap = 30 s, clamped up to 60 s.
         let mut tuned = None;
         for i in 0..20u64 {
@@ -364,7 +288,7 @@ mod tests {
 
     #[test]
     fn hybrid_long_gaps_switch_to_prewarm() {
-        let mut p = HybridHistogram::new();
+        let mut p = HybridHistogram::default();
         // Gaps of 1000 s: p5 > 2 min → long-gap regime.
         let mut last_retune = None;
         for i in 0..12u64 {
@@ -392,7 +316,7 @@ mod tests {
 
     #[test]
     fn hybrid_retunes_only_on_change() {
-        let mut p = HybridHistogram::new();
+        let mut p = HybridHistogram::default();
         let mut retunes = 0;
         for i in 0..64u64 {
             if p.observe_arrival(0, at(30 * i)).is_some() {
@@ -459,7 +383,7 @@ mod tests {
             &[5_000, 30_000, 90_000, 200_000, 1_000_000, 3_000_000],
         ];
         let mut draws = sebs_sim::SimRng::new(4).stream("gaps");
-        let mut p = HybridHistogram::new();
+        let mut p = HybridHistogram::default();
         let mut reference = SortEveryGap::default();
         let mut now = at(0);
         let mut retunes = 0;
@@ -489,7 +413,6 @@ mod tests {
         for label in ["provider", "fixed-600s", "hybrid"] {
             let kind = KeepAliveKind::parse(label).unwrap();
             assert_eq!(kind.label(), label);
-            assert_eq!(kind.build().label(), label);
         }
         assert_eq!(
             KeepAliveKind::parse("fixed-300").unwrap(),
@@ -505,7 +428,10 @@ mod tests {
         let max = u64::MAX / 1_000_000_000;
         let kind = KeepAliveKind::parse(&format!("fixed-{max}")).unwrap();
         assert_eq!(kind, KeepAliveKind::Fixed(max));
-        assert_eq!(kind.build().label(), format!("fixed-{max}s"));
+        assert!(
+            kind.initial_policy().is_some(),
+            "the timeout fits the clock"
+        );
         let err = KeepAliveKind::parse(&format!("fixed-{}", max + 1)).unwrap_err();
         assert!(
             err.contains("fixed keep-alive") && err.contains("does not fit"),

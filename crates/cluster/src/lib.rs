@@ -10,14 +10,13 @@
 //! - [`ClusterPlatform`]: a region of N [`Host`]s, each wrapping its own
 //!   `FaasPlatform` with per-host CPU capacity, a bounded admission
 //!   queue, and co-location contention.
-//! - [`Scheduler`]: trait-based placement — [`LeastLoaded`],
-//!   [`RandomK`] (power-of-k-choices), and [`Locality`] (Hermes-style
-//!   warm-container affinity with packing).
-//! - [`KeepAlivePolicy`]: trait-based container retention —
-//!   [`ProviderBaseline`] (the provider's own eviction model),
-//!   [`FixedKeepAlive`], and [`HybridHistogram`] (a Serverless-in-the-Wild
-//!   style per-function idle-gap histogram driving keep-alive and
-//!   prewarming).
+//! - [`SchedulerKind`]: placement — least-loaded, random-k
+//!   (power-of-k-choices) and locality (Hermes-style warm-container
+//!   affinity with packing), each a variant matched at dispatch.
+//! - [`KeepAliveKind`]: container retention — the provider's own
+//!   eviction model, a fixed idle timeout, and a hybrid histogram (a
+//!   Serverless-in-the-Wild style per-function idle-gap histogram driving
+//!   keep-alive and prewarming, the only policy that keeps state).
 //! - Host fault domains: `FaultPlan::host_crashes` windows compile into a
 //!   seeded per-host crash/recovery schedule — a pure function of
 //!   (plan, seed, host count). A crash evicts the host's entire warm
@@ -47,9 +46,5 @@ mod scheduler;
 
 pub use cluster::{ClusterConfig, ClusterPlatform, ClusterStats, CrashEvent};
 pub use host::{Host, HostStats};
-pub use keepalive::{
-    FixedKeepAlive, HybridHistogram, KeepAliveKind, KeepAlivePolicy, ProviderBaseline,
-};
-pub use scheduler::{
-    HostView, LeastLoaded, Locality, RandomK, Scheduler, SchedulerKind, MAX_RANDOM_K,
-};
+pub use keepalive::KeepAliveKind;
+pub use scheduler::{SchedulerKind, MAX_RANDOM_K};

@@ -6,7 +6,7 @@ use sebs_sim::rng::{Rng, StreamRng};
 /// ascending host-id order from hosts that are alive and have admission
 /// capacity left, so every policy decides on the same canonical slate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HostView {
+pub(crate) struct HostView {
     /// The host's index in the cluster.
     pub id: u32,
     /// Invocations currently admitted (running + queued).
@@ -19,25 +19,34 @@ pub struct HostView {
     pub warm_for_function: usize,
 }
 
-/// A placement policy. `pick` receives a non-empty candidate slate and
-/// must return one of the candidate ids.
+/// The largest sample size [`SchedulerKind::parse`] accepts for
+/// `random-<k>`: each contested dispatch makes `k` draws.
+pub const MAX_RANDOM_K: u32 = 64;
+
+/// A placement policy — the sweep axis of the cluster experiment.
 ///
 /// Determinism contract: the cluster resolves single-candidate slates
-/// itself, so `pick` only runs — and may only draw from `rng` — when a
-/// real choice exists. Policies that never draw (e.g. [`LeastLoaded`])
-/// keep the stream untouched regardless.
-pub trait Scheduler {
-    /// Stable label for exports and sweep axes.
-    fn label(&self) -> String;
-
-    /// Chooses a host from the slate.
-    fn pick(&mut self, candidates: &[HostView], rng: &mut StreamRng) -> u32;
+/// itself, so [`SchedulerKind::pick`] only runs — and may only draw from
+/// its rng — when a real choice exists. Policies that never draw
+/// (least-loaded, locality) keep the stream untouched regardless.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SchedulerKind {
+    /// Sends every invocation to the least-loaded host (fewest in-flight
+    /// invocations, ties to the lowest id). Draws nothing.
+    LeastLoaded,
+    /// Power-of-k-choices: samples `k` candidates uniformly (with
+    /// replacement) and takes the least loaded of the sample (ties to the
+    /// lowest id). Draws exactly `k` values per decision (`k = 2` is the
+    /// classic power-of-two-choices).
+    RandomK(u32),
+    /// Hermes-style locality: prefer the host holding the most idle warm
+    /// containers for this function (ties to the lowest id); with no warm
+    /// candidates, pack onto the busiest host that still has a free CPU
+    /// so idle hosts can drain and be reclaimed; fall back to
+    /// least-loaded when every candidate's CPUs are saturated. Draws
+    /// nothing.
+    Locality,
 }
-
-/// Sends every invocation to the least-loaded host (fewest in-flight
-/// invocations, ties to the lowest id). Draws nothing.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LeastLoaded;
 
 fn least_loaded_of(candidates: &[HostView]) -> u32 {
     let mut best = candidates[0];
@@ -47,89 +56,6 @@ fn least_loaded_of(candidates: &[HostView]) -> u32 {
         }
     }
     best.id
-}
-
-impl Scheduler for LeastLoaded {
-    fn label(&self) -> String {
-        "least-loaded".to_string()
-    }
-
-    fn pick(&mut self, candidates: &[HostView], _rng: &mut StreamRng) -> u32 {
-        least_loaded_of(candidates)
-    }
-}
-
-/// Power-of-k-choices: samples `k` candidates uniformly (with
-/// replacement) and takes the least loaded of the sample (ties to the
-/// lowest id). Draws exactly `k` values per decision.
-#[derive(Debug, Clone, Copy)]
-pub struct RandomK {
-    /// Sample size (`k = 2` is the classic power-of-two-choices).
-    pub k: u32,
-}
-
-/// The largest sample size [`SchedulerKind::parse`] accepts for
-/// `random-<k>`: each contested dispatch makes `k` draws.
-pub const MAX_RANDOM_K: u32 = 64;
-
-impl Scheduler for RandomK {
-    fn label(&self) -> String {
-        format!("random-{}", self.k)
-    }
-
-    fn pick(&mut self, candidates: &[HostView], rng: &mut StreamRng) -> u32 {
-        let mut best = candidates[rng.gen_range(0..candidates.len())];
-        for _ in 1..self.k.max(1) {
-            let c = candidates[rng.gen_range(0..candidates.len())];
-            if (c.inflight, c.id) < (best.inflight, best.id) {
-                best = c;
-            }
-        }
-        best.id
-    }
-}
-
-/// Hermes-style locality: prefer the host holding the most idle warm
-/// containers for this function (ties to the lowest id); with no warm
-/// candidates, pack onto the busiest host that still has a free CPU so
-/// idle hosts can drain and be reclaimed; fall back to least-loaded when
-/// every candidate's CPUs are saturated. Draws nothing.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Locality;
-
-impl Scheduler for Locality {
-    fn label(&self) -> String {
-        "locality".to_string()
-    }
-
-    fn pick(&mut self, candidates: &[HostView], _rng: &mut StreamRng) -> u32 {
-        if let Some(warm) = candidates
-            .iter()
-            .filter(|c| c.warm_for_function > 0)
-            .max_by_key(|c| (c.warm_for_function, std::cmp::Reverse(c.id)))
-        {
-            return warm.id;
-        }
-        if let Some(pack) = candidates
-            .iter()
-            .filter(|c| c.running < c.cpus as usize)
-            .max_by_key(|c| (c.inflight, std::cmp::Reverse(c.id)))
-        {
-            return pack.id;
-        }
-        least_loaded_of(candidates)
-    }
-}
-
-/// A parsed scheduler choice — the sweep axis of the cluster experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedulerKind {
-    /// [`LeastLoaded`].
-    LeastLoaded,
-    /// [`RandomK`] with the given `k`.
-    RandomK(u32),
-    /// [`Locality`].
-    Locality,
 }
 
 impl SchedulerKind {
@@ -176,12 +102,38 @@ impl SchedulerKind {
         }
     }
 
-    /// Instantiates the policy.
-    pub fn build(&self) -> Box<dyn Scheduler> {
-        match self {
-            SchedulerKind::LeastLoaded => Box::new(LeastLoaded),
-            SchedulerKind::RandomK(k) => Box::new(RandomK { k: *k }),
-            SchedulerKind::Locality => Box::new(Locality),
+    /// Chooses a host from a non-empty slate; returns one of the
+    /// candidate ids.
+    pub(crate) fn pick(&self, candidates: &[HostView], rng: &mut StreamRng) -> u32 {
+        match *self {
+            SchedulerKind::LeastLoaded => least_loaded_of(candidates),
+            SchedulerKind::RandomK(k) => {
+                let mut best = candidates[rng.gen_range(0..candidates.len())];
+                for _ in 1..k.max(1) {
+                    let c = candidates[rng.gen_range(0..candidates.len())];
+                    if (c.inflight, c.id) < (best.inflight, best.id) {
+                        best = c;
+                    }
+                }
+                best.id
+            }
+            SchedulerKind::Locality => {
+                if let Some(warm) = candidates
+                    .iter()
+                    .filter(|c| c.warm_for_function > 0)
+                    .max_by_key(|c| (c.warm_for_function, std::cmp::Reverse(c.id)))
+                {
+                    return warm.id;
+                }
+                if let Some(pack) = candidates
+                    .iter()
+                    .filter(|c| c.running < c.cpus as usize)
+                    .max_by_key(|c| (c.inflight, std::cmp::Reverse(c.id)))
+                {
+                    return pack.id;
+                }
+                least_loaded_of(candidates)
+            }
         }
     }
 }
@@ -207,17 +159,16 @@ mod tests {
 
     #[test]
     fn least_loaded_breaks_ties_by_id() {
-        let mut s = LeastLoaded;
         let mut r = rng();
         let pristine = r.clone();
         let slate = [view(0, 3, 3, 0), view(1, 1, 1, 0), view(2, 1, 1, 5)];
-        assert_eq!(s.pick(&slate, &mut r), 1);
+        assert_eq!(SchedulerKind::LeastLoaded.pick(&slate, &mut r), 1);
         assert_eq!(r, pristine, "least-loaded must not draw");
     }
 
     #[test]
     fn random_k_draws_exactly_k_and_picks_within_sample() {
-        let mut s = RandomK { k: 2 };
+        let s = SchedulerKind::RandomK(2);
         let mut r = rng();
         let slate: Vec<HostView> = (0..8).map(|i| view(i, i as usize, 0, 0)).collect();
         let picked = s.pick(&slate, &mut r);
@@ -228,7 +179,7 @@ mod tests {
         assert_eq!(s.pick(&slate, &mut r2), picked);
     }
 
-    /// `RandomK::pick` as it was before the running minimum: the draws
+    /// The `random-<k>` pick as it was before the running minimum: the draws
     /// are collected into a sample first.
     fn collect_then_pick(k: u32, candidates: &[HostView], rng: &mut StreamRng) -> u32 {
         let mut sample: Vec<HostView> = Vec::with_capacity(k.max(1) as usize);
@@ -249,7 +200,7 @@ mod tests {
             let slate: Vec<HostView> = (0..slates.gen_range(1..=8u32))
                 .map(|id| view(id * 2, slates.gen_range(0..4), 0, 0))
                 .collect();
-            let picked = RandomK { k }.pick(&slate, &mut r);
+            let picked = SchedulerKind::RandomK(k).pick(&slate, &mut r);
             assert_eq!(
                 picked,
                 collect_then_pick(k, &slate, &mut reference),
@@ -261,7 +212,7 @@ mod tests {
 
     #[test]
     fn locality_prefers_warm_then_packs() {
-        let mut s = Locality;
+        let s = SchedulerKind::Locality;
         let mut r = rng();
         let pristine = r.clone();
         // Host 2 holds warm containers → wins despite load.
@@ -291,7 +242,6 @@ mod tests {
         for label in ["least-loaded", "random-2", "random-3", "locality"] {
             let kind = SchedulerKind::parse(label).unwrap();
             assert_eq!(kind.label(), label);
-            assert_eq!(kind.build().label(), label);
         }
         assert!(SchedulerKind::parse("random-0").is_err());
         let err = SchedulerKind::parse("frobnicate").unwrap_err();
