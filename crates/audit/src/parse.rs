@@ -70,6 +70,8 @@ pub struct Import {
     /// `self` or a crate/module name).
     pub path: Vec<String>,
     pub glob: bool,
+    /// Line of the import's last token (its alias for a rename).
+    pub line: usize,
 }
 
 /// Everything the lexer and parser recovered from one file: what both
@@ -451,12 +453,14 @@ impl<'a> Parser<'a> {
                 None => break,
                 Some(t) if t.kind == TokKind::Ident && t.text == "as" => {
                     self.bump();
+                    let line = self.line();
                     let alias = self.ident_name();
                     self.imports.push(Import {
                         module: module.to_vec(),
                         alias,
                         path: prefix.clone(),
                         glob: false,
+                        line,
                     });
                     prefix.truncate(depth_at_entry);
                     break;
@@ -480,6 +484,7 @@ impl<'a> Parser<'a> {
                         alias,
                         path: prefix.clone(),
                         glob: false,
+                        line: t.line,
                     });
                     prefix.truncate(depth_at_entry);
                     break;
@@ -491,6 +496,7 @@ impl<'a> Parser<'a> {
                         alias: String::new(),
                         path: prefix.clone(),
                         glob: true,
+                        line: t.line,
                     });
                     prefix.truncate(depth_at_entry);
                     break;
@@ -516,6 +522,7 @@ impl<'a> Parser<'a> {
                                     alias,
                                     path: prefix.clone(),
                                     glob: false,
+                                    line: t.line,
                                 });
                             }
                             Some(_) => {

@@ -6,8 +6,9 @@
 //!   inside the repository (`path = …` or `workspace = true`); registry
 //!   version strings and git dependencies break offline builds.
 //! * **wall-clock** — `Instant::now` / `SystemTime::now` are forbidden
-//!   in every file; simulated components must take time from the virtual
-//!   clock so runs are reproducible.
+//!   in every file, also under the alias a `use` gives either type;
+//!   simulated components must take time from the virtual clock so runs
+//!   are reproducible.
 //! * **ambient-randomness** — OS-seeded randomness (`thread_rng`,
 //!   `from_entropy`, `getrandom`, `RandomState`, any `rand::` path) is
 //!   forbidden; all randomness flows from a [`SimRng`] seed.
@@ -18,7 +19,8 @@
 //!   must either be refactored away or carry an explicit
 //!   `audit:allow(panic-hygiene)` justification.
 //! * **instant-usage** — naming `std::time::Instant` at all (imports,
-//!   type positions, not just `::now()` calls) is forbidden in every file;
+//!   grouped or renamed ones included, and type positions, not just
+//!   `::now()` calls) is forbidden in every file;
 //!   wall-time measurement belongs to the bench harness,
 //!   and each of its timer sites carries an explicit
 //!   `audit:allow(instant-usage)` so every host-clock read stays visible
@@ -54,7 +56,7 @@
 //! Every allow is counted and carried in the report so suppressions stay
 //! visible, and an allow that suppresses nothing is reported as *stale*.
 
-use crate::parse::{parse_file, ParsedFile};
+use crate::parse::{parse_file, Import, ParsedFile};
 use crate::token::{lex, spells, Tok, TokKind};
 use crate::toml::{TomlDoc, TomlValue};
 
@@ -285,6 +287,16 @@ pub fn audit_rust_file(
     parsed: &ParsedFile,
 ) -> (Vec<Finding>, Vec<Allow>) {
     let scope = FileScope::classify(path);
+    // The clock rules match names, not only spellings: `<alias>::now` reads
+    // the clock of a renamed `Instant` or `SystemTime` import.
+    let clock_import = |i: &Import, ty: &str| !i.glob && i.path == ["std", "time", ty];
+    let aliased_now: Vec<[&str; 3]> = parsed
+        .imports
+        .iter()
+        .filter(|i| clock_import(i, "Instant") || clock_import(i, "SystemTime"))
+        .filter(|i| i.alias != "Instant" && i.alias != "SystemTime")
+        .map(|i| [i.alias.as_str(), "::", "now"])
+        .collect();
     let mut hits: Vec<(Rule, usize)> = Vec::new();
     for toks in parsed.toks.chunk_by(|a, b| a.line == b.line) {
         let line = toks[0].line;
@@ -297,6 +309,9 @@ pub fn audit_rust_file(
             }
         };
         fire(Rule::WallClock, WALL_CLOCK);
+        for call in &aliased_now {
+            fire(Rule::WallClock, &[&call[..]]);
+        }
         fire(Rule::InstantUsage, INSTANT_PATH);
         fire(Rule::AmbientRandomness, RANDOMNESS_SINKS);
         if scope.deterministic_core {
@@ -308,6 +323,14 @@ pub fn audit_rust_file(
         if scope.deterministic_core && !scope.fault_injector && !test && draws_against_a_rate(toks)
         {
             hits.push((Rule::FailureProbability, line));
+        }
+    }
+    // An `Instant` import names the type on its line even when grouped
+    // (`use std::time::{Duration, Instant};`), where the path is not spelled
+    // out.
+    for import in parsed.imports.iter().filter(|i| clock_import(i, "Instant")) {
+        if !hits.contains(&(Rule::InstantUsage, import.line)) {
+            hits.push((Rule::InstantUsage, import.line));
         }
     }
     let findings = hits
@@ -431,6 +454,41 @@ fn f(deadline: std::time::Instant) {}
             .map(|f| f.line)
             .collect();
         assert_eq!(lines, vec![1, 3], "the cloud clock has no exemption");
+    }
+
+    #[test]
+    fn clock_rules_follow_grouped_and_renamed_imports() {
+        let hits = |src: &str| {
+            let (findings, _) = audit_rust_source("crates/sim/src/x.rs", src);
+            let mut got: Vec<(usize, Rule)> = findings.iter().map(|f| (f.line, f.rule)).collect();
+            got.sort();
+            got
+        };
+        let grouped = "\
+use std::time::{Duration, Instant};
+pub struct Stamp {
+    pub t: Instant,
+}
+";
+        assert_eq!(hits(grouped), [(1, Rule::InstantUsage)]);
+        let renamed = "\
+use std::time::SystemTime as Wall;
+use std::time::{Instant as Clock};
+use crate::clock::SimClock as Sim;
+fn f() {
+    let a = Wall::now();
+    let b = Clock::now();
+    let c = Sim::now();
+}
+";
+        assert_eq!(
+            hits(renamed),
+            [
+                (2, Rule::InstantUsage),
+                (5, Rule::WallClock),
+                (6, Rule::WallClock)
+            ]
+        );
     }
 
     #[test]
