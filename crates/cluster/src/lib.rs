@@ -28,16 +28,17 @@
 //!   the circuit breaker.
 //! - Overload shedding: a host admits at most `cpus + queue_depth`
 //!   concurrent invocations; beyond that the cluster degrades into
-//!   `Throttled` instead of queueing unboundedly.
+//!   `Throttled` instead of queueing unboundedly, and with every host
+//!   down an arrival is rejected as the retryable `ServiceUnavailable`.
 //!
 //! Determinism contract: every host shares the cluster seed (hosts are
 //! statistically identical machines whose streams diverge with their
 //! invocation history), the scheduler draws from a dedicated
 //! `cluster-sched` stream **only when more than one candidate host
 //! exists**, and the cluster's retry driver draws backoff jitter from
-//! `cluster-retry`. A 1-host cluster with the provider-baseline
-//! keep-alive, zero contention and an unbounded queue is therefore
-//! bit-identical to the bare single-box platform.
+//! `cluster-retry`. A 1-host cluster with the provider keep-alive, zero
+//! contention and an unbounded queue is therefore bit-identical to the
+//! bare single-box platform.
 
 mod cluster;
 mod host;
