@@ -241,6 +241,10 @@ impl KeepAliveKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ClusterConfig, ClusterPlatform, ClusterStats};
+    use sebs_platform::{FunctionConfig, ProviderKind, StartKind};
+    use sebs_workloads::templating::DynamicHtml;
+    use sebs_workloads::{Language, Scale};
 
     fn at(secs: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_secs(secs)
@@ -262,6 +266,68 @@ mod tests {
                 "{kind:?}"
             );
         }
+    }
+
+    /// Invokes one function on a one-host cluster under `kind`, with
+    /// `arrivals` arrivals `gap_secs` apart; returns the start kind of
+    /// each arrival and the cluster's counters.
+    fn replay_gaps(
+        kind: KeepAliveKind,
+        arrivals: usize,
+        gap_secs: u64,
+    ) -> (Vec<StartKind>, ClusterStats) {
+        let config = ClusterConfig::new(ProviderKind::Aws)
+            .with_hosts(1)
+            .with_keepalive(kind);
+        let mut cluster = ClusterPlatform::new(config, 7);
+        let wl = DynamicHtml::new(Language::Python);
+        let id = cluster
+            .deploy(FunctionConfig::new("gaps", Language::Python, 256))
+            .expect("deploys");
+        let payload = cluster.prepare(&wl, Scale::Test);
+        let starts = (0..arrivals)
+            .map(|_| {
+                let start = cluster.invoke(id, &wl, &payload).start;
+                cluster.advance(SimDuration::from_secs(gap_secs));
+                start
+            })
+            .collect();
+        (starts, cluster.stats())
+    }
+
+    #[test]
+    fn baseline_is_inert() {
+        assert!(KeepAliveKind::Provider.initial_policy().is_none());
+        // Gaps of 1000 s are the hybrid controller's long-gap regime: the
+        // same arrivals make it retune and prewarm.
+        let (_, hybrid) = replay_gaps(KeepAliveKind::Hybrid, 16, 1000);
+        assert!(hybrid.retunes > 0 && hybrid.prewarms > 0, "{hybrid:?}");
+        let (_, stats) = replay_gaps(KeepAliveKind::Provider, 16, 1000);
+        assert_eq!((stats.retunes, stats.prewarms), (0, 0));
+    }
+
+    #[test]
+    fn fixed_installs_once_and_never_retunes() {
+        let kind = KeepAliveKind::Fixed(600);
+        assert_eq!(kind.label(), "fixed-600s");
+        assert!(matches!(
+            kind.initial_policy(),
+            Some(EvictionPolicy::IdleTimeout { timeout, .. })
+                if timeout == SimDuration::from_secs(600)
+        ));
+        // Gaps of 500 s would retune the hybrid controller down to its
+        // 60 s floor; the 600 s timeout installed at deploy keeps every
+        // later arrival warm.
+        let (starts, stats) = replay_gaps(kind, 16, 500);
+        assert_eq!((stats.retunes, stats.prewarms), (0, 0));
+        assert_eq!(starts[0], StartKind::Cold);
+        assert!(
+            starts[1..].iter().all(|&s| s == StartKind::Warm),
+            "{starts:?}"
+        );
+        // Past the timeout every arrival boots a new container.
+        let (starts, _) = replay_gaps(kind, 4, 1000);
+        assert!(starts.iter().all(|&s| s == StartKind::Cold), "{starts:?}");
     }
 
     #[test]
